@@ -335,17 +335,16 @@ def required_samples_balanced(i: int, d: int, eps: float) -> tuple[int, ...]:
     """Sample schedule n_0..n_i for the uniform-mixture cycle at error order eps.
 
     Earlier generations need more data: their output feeds every later
-    mixture. Gamma ratios are computed in log space to avoid overflow.
+    mixture. Generation k is sized by the Gamma-ratio sum
+    ``balanced_coefficients_gamma(i)[k]``.
     """
     if i < 1 or d < 1 or not eps > 0:
         raise ValueError("need i >= 1, d >= 1, eps > 0")
     base = math.sqrt(d) / eps
-    counts = []
-    for k in range(i):
-        inner = math.fsum(
-            math.exp(gammaln(j + 2) - gammaln(i + 2)) for j in range(k, i)
-        )
-        counts.append(max(1, _ceil_snap(((i + 1) * base * inner) ** 4)))
+    counts = [
+        max(1, _ceil_snap(((i + 1) * base * a_k) ** 4))
+        for a_k in balanced_coefficients_gamma(i)[:-1]
+    ]
     counts.append(max(1, _ceil_snap(base**4)))
     return tuple(counts)
 

@@ -6,6 +6,11 @@ conditionals, analytic scores for Gaussian data, and a closed-form prior
 mismatch for validation. The score is a one-hidden-layer random-feature
 network: only the output weights train, so the denoising objective is
 quadratic and full-batch gradient descent is a convex solve.
+
+The activations and the training products are contracted with ``einsum``,
+not ``@``: at these sizes a threaded BLAS splits each product over its worker
+pool, and the workers keep spinning for about 0.1 s after the last call,
+taking CPU from the single-threaded reverse sampler that follows training.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ def embed_time(t, embed_dim: int, horizon: float) -> np.ndarray:
     return np.concatenate([np.sin(phase), np.cos(phase)], axis=1)
 
 
+# cap on the hidden-activation block (points x width) built per dense evaluation pass
+_CHUNK_CELLS = 4_000_000
+
+
 @dataclass
 class ScoreNet:
     """Random-feature score network; only ``out_weights`` changes during training."""
@@ -77,13 +86,55 @@ class ScoreNet:
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         e = embed_time(t, self.embed_dim, horizon)
-        z = x @ self.in_weights.T + e @ self.time_weights.T
+        z = np.einsum("qd,md->qm", x, self.in_weights)
+        z += np.einsum("qe,me->qm", e, self.time_weights)
         return np.maximum(z, 0.0)
 
     def evaluate(self, x: np.ndarray, t, horizon: float) -> np.ndarray:
-        """Score estimate at points ``x`` and time(s) ``t``, shape (q, d)."""
-        phi = self.features(x, t, horizon)
-        return phi @ self.out_weights.T / self.width
+        """Score estimate at points ``x`` and time(s) ``t``, shape (q, d).
+
+        In one dimension at a shared time the score is piecewise linear in x
+        and is evaluated exactly from its sorted kinks; every other call
+        forms the hidden activations in row blocks of at most
+        ``_CHUNK_CELLS`` cells.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if self.dim == 1 and x.shape[1] == 1 and np.ndim(t) == 0:
+            return self._evaluate_1d(x[:, 0], t, horizon)
+        t = np.asarray(t, dtype=float)
+        out = np.empty((x.shape[0], self.dim))
+        step = max(1, _CHUNK_CELLS // self.width)
+        for i0 in range(0, x.shape[0], step):
+            rows = slice(i0, i0 + step)
+            phi = self.features(x[rows], t if t.size == 1 else t[rows], horizon)
+            out[rows] = phi @ self.out_weights.T / self.width
+        return out
+
+    def _evaluate_1d(self, x: np.ndarray, t: float, horizon: float) -> np.ndarray:
+        """Exact score for d = 1 at one time t, in O((q + m) log m).
+
+        s(x) = (1/m) sum_j a_j relu(w_j x + b_j) has its kinks at -b_j / w_j.
+        A unit with w_j > 0 is active right of its kink, so it enters a
+        prefix sum over the sorted kinks; one with w_j < 0 is active left of
+        it and enters a suffix sum; one with w_j = 0 adds a_j relu(b_j)
+        everywhere. The tables are rebuilt on every call and not kept.
+        """
+        a = self.out_weights[0]
+        w = self.in_weights[:, 0]
+        b = self.time_weights @ embed_time(t, self.embed_dim, horizon)[0]
+        flat = w == 0.0
+        a_k, w_k, b_k = a[~flat], w[~flat], b[~flat]
+        kinks = -b_k / w_k
+        order = np.argsort(kinks)
+        right = (w_k > 0.0)[order]
+        terms = np.stack([a_k * w_k, a_k * b_k])[:, order]
+        # table[:, i] holds the active (slope, intercept) between kinks i-1 and i
+        table = np.zeros((2, kinks.size + 1))
+        np.cumsum(np.where(right, terms, 0.0), axis=1, out=table[:, 1:])
+        table[:, :-1] += np.cumsum(np.where(right, 0.0, terms)[:, ::-1], axis=1)[:, ::-1]
+        table[1] += a[flat] @ np.maximum(b[flat], 0.0)
+        idx = np.searchsorted(kinks[order], x)
+        return ((table[0, idx] * x + table[1, idx]) / self.width)[:, None]
 
     def rkhs_norm_sq(self) -> float:
         """Empirical squared norm of the represented function: ||A||_F^2 / m."""
@@ -142,7 +193,7 @@ def dsm_loss(
 
 
 def _loss_of(out_weights: np.ndarray, phi: np.ndarray, target: np.ndarray, m: int) -> float:
-    pred = phi @ out_weights.T / m
+    pred = np.einsum("nm,dm->nd", phi, out_weights) / m
     return float(((pred - target) ** 2).sum(axis=1).mean())
 
 
@@ -157,7 +208,8 @@ def hessian_top_eigenvalue(
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(iters):
-        hv = phi.T @ (phi @ v) * (2.0 / (n * m * m))
+        phi_v = np.einsum("nm,m->n", phi, v)
+        hv = np.einsum("nm,n->m", phi, phi_v) * (2.0 / (n * m * m))
         lam = float(np.linalg.norm(hv))
         if lam == 0.0:
             return 0.0
@@ -218,8 +270,8 @@ def train(
     initial = losses[0]
     bad_streak = 0
     for step in range(tau_steps):
-        pred = phi @ a.T / m
-        grad = (pred - target).T @ phi * (2.0 / (n * m))
+        pred = np.einsum("nm,dm->nd", phi, a) / m
+        grad = np.einsum("nd,nm->dm", pred - target, phi) * (2.0 / (n * m))
         a -= lr * grad
         loss = _loss_of(a, phi, target, m)
         losses.append(loss)

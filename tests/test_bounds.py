@@ -333,6 +333,32 @@ class TestPhaseTransition:
             lambda_star(0)
 
 
+# required_samples_balanced(i, 1, 0.1) for i = 1..20, pinned to the values of
+# the earlier inline Gamma-ratio loop; both sums use math.fsum, so they agree
+BALANCED_SIZES_D1_EPS01 = {
+    1: (10000, 10000),
+    2: (50625, 10000, 10000),
+    3: (50625, 31605, 10000, 10000),
+    4: (35745, 31605, 24415, 10000, 10000),
+    5: (26427, 25743, 24415, 20736, 10000, 10000),
+    6: (21614, 21515, 21319, 20736, 18527, 10000, 10000),
+    7: (18946, 18933, 18908, 18831, 18527, 17060, 10000, 10000),
+    8: (17288, 17286, 17283, 17274, 17238, 17060, 16019, 10000, 10000),
+    9: (16156,) * 3 + (16155, 16151, 16132, 16019, 15242, 10000, 10000),
+    10: (15332,) * 4 + (15331, 15329, 15318, 15242, 14641, 10000, 10000),
+    11: (14703,) * 6 + (14702, 14695, 14641, 14163, 10000, 10000),
+    12: (14208,) * 7 + (14207, 14203, 14163, 13774, 10000, 10000),
+    13: (13807,) * 9 + (13804, 13774, 13451, 10000, 10000),
+    14: (13476,) * 10 + (13474, 13451, 13179, 10000, 10000),
+    15: (13198,) * 11 + (13197, 13179, 12946, 10000, 10000),
+    16: (12962,) * 11 + (12961, 12960, 12946, 12745, 10000, 10000),
+    17: (12757,) * 14 + (12745, 12569, 10000, 10000),
+    18: (12580,) * 14 + (12579, 12569, 12415, 10000, 10000),
+    19: (12423,) * 16 + (12415, 12278, 10000, 10000),
+    20: (12285,) * 17 + (12278, 12156, 10000, 10000),
+}
+
+
 class TestSampleSchedules:
     def test_quartic_example(self):
         assert required_samples_quartic(2, 4, 0.5) == 4096
@@ -350,6 +376,19 @@ class TestSampleSchedules:
         for i in range(1, 11):
             counts = required_samples_balanced(i, 2, 0.7)
             assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    def test_balanced_pinned_values(self):
+        for i, expected in BALANCED_SIZES_D1_EPS01.items():
+            assert required_samples_balanced(i, 1, 0.1) == expected
+
+    def test_balanced_pinned_values_irrational_base(self):
+        # sqrt(3) / 0.3 is not exact in binary, so the ceiling sees round-off
+        assert required_samples_balanced(1, 3, 0.3) == (1112, 1112)
+        assert required_samples_balanced(5, 3, 0.3) == (2937, 2861, 2713, 2304, 1112, 1112)
+        assert required_samples_balanced(10, 3, 0.3) == (1704,) * 6 + (
+            1702, 1694, 1627, 1112, 1112
+        )
+        assert required_samples_balanced(20, 3, 0.3) == (1365,) * 18 + (1351, 1112, 1112)
 
     def test_balanced_blows_up_as_eps_shrinks(self):
         small = required_samples_balanced(3, 1, 1e-3)

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sclab import diffusion
 from sclab.diffusion import (
     DiffusionConfig,
+    ScoreNet,
     TrainingDivergence,
     analytic_score_gauss,
     dsm_loss,
@@ -62,6 +66,107 @@ class TestInit:
         e = embed_time(np.linspace(0, 3, 50), 8, 3.0)
         assert e.shape == (50, 8)
         assert np.abs(e).max() <= 1.0
+
+
+def dense_score(net: ScoreNet, x, t, horizon: float) -> np.ndarray:
+    """The defining formula, one full activation block: the oracle for ``evaluate``."""
+    return net.features(x, t, horizon) @ net.out_weights.T / net.width
+
+
+@st.composite
+def score_nets(draw):
+    """Random 1-d nets: trained, random or zero output layers, with zero input
+    weights and tied kinks (exact and sign-flipped duplicate rows) mixed in."""
+    m = draw(st.integers(1, 40))
+    net = init_scorenet(m, 1, draw(st.sampled_from([2, 4, 8])), draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    for j in np.flatnonzero(rng.random(m) < draw(st.sampled_from([0.0, 0.2, 1.0]))):
+        net.in_weights[j] = 0.0
+    for _ in range(draw(st.integers(0, m // 2))):
+        src, dst = rng.integers(0, m, size=2)
+        sign = rng.choice([1.0, -1.0])
+        net.in_weights[dst] = sign * net.in_weights[src]
+        net.time_weights[dst] = sign * net.time_weights[src]
+    layer = draw(st.sampled_from(["trained", "random", "zero"]))
+    if layer == "trained":
+        data = Gauss1D(draw(st.floats(-2, 2)), draw(st.floats(0.3, 2))).sample(32, 1)
+        train(net, data, CFG, tau_steps=draw(st.integers(1, 8)), seed=2)
+    elif layer == "random":
+        net.out_weights[...] = rng.standard_normal((1, m)) * 10.0 ** rng.uniform(-3, 3)
+    return net
+
+
+class TestExactScore1d:
+    @given(
+        net=score_nets(),
+        t=st.floats(0.0, 2 * CFG.horizon),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_oracle(self, net, t, seed):
+        w = net.in_weights[:, 0]
+        b = net.time_weights @ embed_time(t, net.embed_dim, CFG.horizon)[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kinks = (-b / w)[w != 0]
+        rng = np.random.default_rng(seed)
+        probes = [rng.normal(0.0, 3.0, 50), kinks]
+        if kinks.size:  # left of every kink, right of every kink
+            probes += [kinks.min() - rng.exponential(2.0, 5), kinks.max() + rng.exponential(2.0, 5)]
+        x = np.concatenate(probes)[:, None]
+        fast = net.evaluate(x, t, CFG.horizon)
+        dense = dense_score(net, x, t, CFG.horizon)
+        assert fast.shape == dense.shape == (x.shape[0], 1)
+        a = net.out_weights[0]
+        scale = (np.abs(a) * (np.abs(x * w) + np.abs(b))).sum(axis=1) / net.width
+        assert (np.abs(fast - dense)[:, 0] <= 1e-10 * scale).all()
+        if not a.any():
+            assert np.all(fast == 0.0)
+
+    def test_reverse_sample_deterministic_on_trained_net(self):
+        net = init_scorenet(200, 1, 8, 4)
+        train(net, Gauss1D(0.5, 0.8).sample(200, 3), CFG, seed=5)
+        cfg = DiffusionConfig(reverse_steps=100)
+        a = reverse_sample(net, cfg, 300, 21)
+        b = reverse_sample(net, cfg, 300, 21)
+        assert np.array_equal(a.points, b.points)
+
+
+def count_features(monkeypatch) -> list:
+    """Record each ``ScoreNet.features`` call, i.e. each dense activation block."""
+    calls = []
+    features = ScoreNet.features
+    monkeypatch.setattr(
+        ScoreNet, "features", lambda self, *args: calls.append(1) or features(self, *args)
+    )
+    return calls
+
+
+class TestDenseScore:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_chunked_matches_single_pass(self, monkeypatch, d):
+        net = init_scorenet(30, d, 8, 6)
+        net.out_weights[...] = np.random.default_rng(1).standard_normal((d, 30))
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(101, d))
+        t = rng.uniform(CFG.t_min, CFG.horizon, size=101)
+        whole = dense_score(net, x, t, CFG.horizon)
+        calls = count_features(monkeypatch)
+        monkeypatch.setattr(diffusion, "_CHUNK_CELLS", 7 * 30)
+        assert np.allclose(net.evaluate(x, t, CFG.horizon), whole, rtol=0, atol=1e-12)
+        assert len(calls) == 15  # ceil(101 / 7) row blocks
+        if d > 1:  # a shared time broadcasts over every block
+            shared = dense_score(net, x, 0.4, CFG.horizon)
+            assert np.allclose(net.evaluate(x, 0.4, CFG.horizon), shared, rtol=0, atol=1e-12)
+
+    def test_exact_path_only_for_one_dim_shared_time(self, monkeypatch):
+        calls = count_features(monkeypatch)
+        net1 = init_scorenet(20, 1, 8, 1)
+        net1.evaluate(np.zeros((5, 1)), 0.5, CFG.horizon)
+        assert calls == []
+        net1.evaluate(np.zeros((5, 1)), np.full(5, 0.5), CFG.horizon)
+        net2 = init_scorenet(20, 2, 8, 1)
+        net2.evaluate(np.zeros((5, 2)), 0.5, CFG.horizon)
+        assert len(calls) == 2
 
 
 class TestDsmLoss:
@@ -152,6 +257,35 @@ class TestTrain:
             train(net, data, CFG, tau_steps=10, seed=5)
             nets.append(net.out_weights.copy())
         assert np.array_equal(nets[0], nets[1])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_features_match_matrix_products(self, d):
+        net = init_scorenet(90, d, 8, 2)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((70, d))
+        for t in (0.7, rng.uniform(CFG.t_min, CFG.horizon, size=70)):
+            e = embed_time(t, 8, CFG.horizon)
+            dense = np.maximum(x @ net.in_weights.T + e @ net.time_weights.T, 0.0)
+            np.testing.assert_allclose(net.features(x, t, CFG.horizon), dense, rtol=0, atol=1e-12)
+
+    def test_descent_matches_matrix_product_form(self):
+        # the same frozen design and step rule, written with @
+        n, m, tau = 150, 120, 12
+        data = Gauss1D(0, 1).sample(n, 3)
+        net = init_scorenet(m, 1, 8, 4)
+        report = train(net, data, CFG, tau_steps=tau, seed=5)
+        rng = np.random.default_rng(5)
+        t = rng.uniform(CFG.t_min, CFG.horizon, size=n)
+        xt, target = diffusion._ou_forward(data.points, t, rng)
+        e = embed_time(t, 8, CFG.horizon)
+        phi = np.maximum(xt @ net.in_weights.T + e @ net.time_weights.T, 0.0)
+        a = np.zeros((1, m))
+        for _ in range(tau):
+            a -= report.lr * ((phi @ a.T / m - target).T @ phi) * (2.0 / (n * m))
+        assert np.abs(a).max() > 0
+        np.testing.assert_allclose(net.out_weights, a, rtol=1e-10, atol=1e-14)
+        loss = float(((phi @ a.T / m - target) ** 2).sum(axis=1).mean())
+        assert report.losses[-1] == pytest.approx(loss, rel=1e-10)
 
 
 class TestSampleQuality:

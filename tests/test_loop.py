@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sclab.diffusion import DiffusionConfig
+from sclab.diffusion import DiffusionConfig, ScoreNet
 from sclab.distributions import Gauss1D
 from sclab.kernels import KernelSpec
 from sclab.loop import (
@@ -215,6 +215,32 @@ class TestDiffusionLoop:
             assert rec.tv_to_p0.method == "histogram"
             assert 0.0 <= rec.tv_to_p0.value <= 1.0
             assert rec.train_diagnostics["steps"] == 18  # ceil(sqrt(300))
+
+    def test_exact_score_matches_dense_loop(self, monkeypatch):
+        cfg = LoopConfig(
+            generator=DiffusionGenerator(),
+            schedule=MixtureSchedule.balanced(3),
+            p0=GAUSS,
+            sample_sizes=ConstantSizes(128),
+            max_generation=3,
+            replicates=1,
+            base_seed=29,
+            eval_samples=500,
+        )
+        fast = run_loop(cfg, 0)
+        monkeypatch.setattr(
+            ScoreNet,
+            "evaluate",
+            lambda self, x, t, horizon: self.features(x, t, horizon)
+            @ self.out_weights.T
+            / self.width,
+        )
+        dense = run_loop(cfg, 0)
+        for f, d in zip(fast.records, dense.records, strict=True):
+            assert (f.n_real, f.n_synth) == (d.n_real, d.n_synth)
+            gap = abs(f.tv_to_p0.value - d.tv_to_p0.value)
+            assert gap <= min(f.tv_to_p0.tolerance, d.tv_to_p0.tolerance)
+            assert f.kl_prior == pytest.approx(d.kl_prior, rel=1e-9, abs=0)
 
     def test_training_failure_names_generation(self):
         gen = DiffusionGenerator(cfg=DiffusionConfig(reverse_steps=60), lr=1e18)
