@@ -65,14 +65,15 @@ def _trapz_grid(values: np.ndarray, axes: Sequence[np.ndarray]) -> float:
     return float(v)
 
 
-def _check_box(box: Box) -> int:
+def _check_grid(box: Box, nodes: int) -> None:
     d = len(box)
     if d < 1 or d > 2:
         raise ValueError(f"quadrature supports 1 or 2 dimensions, got {d}")
     for lo, hi in box:
         if not lo < hi:
             raise ValueError(f"degenerate box interval ({lo}, {hi})")
-    return d
+    if nodes < MIN_NODES:
+        raise ValueError(f"nodes must be >= {MIN_NODES} per dimension")
 
 
 def tv_quadrature(pdf_a: PdfFn, pdf_b: PdfFn, box: Box, nodes: int = 4096) -> TVEstimate:
@@ -82,9 +83,7 @@ def tv_quadrature(pdf_a: PdfFn, pdf_b: PdfFn, box: Box, nodes: int = 4096) -> TV
     and the grid with every second node dropped. Works for signed estimates
     (the integrand takes absolute values).
     """
-    _check_box(box)
-    if nodes < MIN_NODES:
-        raise ValueError(f"nodes must be >= {MIN_NODES} per dimension")
+    _check_grid(box, nodes)
     if nodes % 2 == 0:
         nodes += 1  # odd count: the halved grid keeps both endpoints
     axes = grid_axes(box, nodes)
@@ -141,7 +140,7 @@ def kl_quadrature(pdf_a: PdfFn, pdf_b: PdfFn, box: Box, nodes: int = 4096) -> fl
 
     Points with a == 0 contribute zero; b == 0 anywhere a > 0 yields +inf.
     """
-    _check_box(box)
+    _check_grid(box, nodes)
     axes = grid_axes(box, nodes)
     pts = grid_points(axes)
     va = np.asarray(pdf_a(pts), dtype=float)

@@ -167,8 +167,12 @@ def fit(samples: SampleSet, kernel: KernelSpec, s: int | None = None) -> KdeMode
     return KdeModel(samples=samples, kernel=kernel, bandwidth=h)
 
 
-# cap on the scratch array (grid points x sample chunk) used per evaluation pass
+# the sample block size is _CHUNK_CELLS // q; it fixes how each point's sum
+# is grouped, so changing it changes the last bits of every pdf value
 _CHUNK_CELLS = 4_000_000
+# cap on the scratch array (grid-row tile x sample block), about 256 KB, so
+# the temporaries of one tile stay in cache
+_TILE_CELLS = 32_768
 
 
 def kde_pdf(model: KdeModel, x):
@@ -176,18 +180,26 @@ def kde_pdf(model: KdeModel, x):
 
     May be negative for higher-order kernels. Accepts a single point or a
     (q, d) batch.
+
+    Samples are summed in blocks of ``_CHUNK_CELLS // q``; each block is
+    formed one tile of grid rows at a time. A row's value depends only on its
+    own blocks, summed in the same order, so the tile size changes no bit of
+    the result.
     """
     batch, single = _as_batch(x, model.dim)
     pts = model.samples.points
     h = model.bandwidth
     n, d = pts.shape
-    out = np.zeros(batch.shape[0])
-    step = max(1, _CHUNK_CELLS // max(batch.shape[0], 1))
+    q = batch.shape[0]
+    out = np.zeros(q)
+    step = max(1, _CHUNK_CELLS // max(q, 1))
+    rows = max(1, _TILE_CELLS // step)
     for j0 in range(0, n, step):
         block = pts[j0 : j0 + step]
-        u = (batch[:, None, :] - block[None, :, :]) / h
-        k = model.kernel.profile_1d(u)
-        out += (k.prod(axis=2) if d > 1 else k[:, :, 0]).sum(axis=1)
+        for r0 in range(0, q, rows):
+            u = (batch[r0 : r0 + rows, None, :] - block[None, :, :]) / h
+            k = model.kernel.profile_1d(u)
+            out[r0 : r0 + rows] += (k.prod(axis=2) if d > 1 else k[:, :, 0]).sum(axis=1)
     out /= n * h**d
     return float(out[0]) if single else out
 

@@ -173,17 +173,42 @@ def _eval_seeds(base_seed: int, generations: int) -> np.ndarray:
     return root.integers(0, 2**63, size=(2 * generations + 1,))
 
 
-def _mixture_pdf(p0: TargetDensity, weights, models: dict[int, KdeModel]):
-    alpha, betas = weights
+class _GridMemo:
+    """Kept models' pdf values on the quadrature grid, each evaluated once.
 
-    def pdf(pts):
-        out = alpha * np.asarray(p0.pdf(pts), dtype=float)
-        for k, b in enumerate(betas, start=1):
-            if b > 0.0:
-                out = out + b * models[k].pdf(pts)
-        return out
+    Every quadrature TV of a run is taken on one grid (one box, one node
+    count). The first grid seen is stored; a call on an equal grid reads the
+    stored values, which are bit-equal to a fresh evaluation, and a call on
+    any other grid evaluates afresh.
+    """
 
-    return pdf
+    def __init__(self):
+        self.grid: np.ndarray | None = None
+        self.values: dict[int, np.ndarray] = {}  # keyed by model index
+
+    def pdf(self, k: int, model: KdeModel):
+        def on_grid(pts):
+            if self.grid is None:
+                self.grid = pts
+            if not np.array_equal(pts, self.grid):
+                return model.pdf(pts)
+            if k not in self.values:
+                self.values[k] = model.pdf(pts)
+            return self.values[k]
+
+        return on_grid
+
+    def mixture_pdf(self, p0: TargetDensity, weights, models: dict[int, KdeModel]):
+        alpha, betas = weights
+
+        def pdf(pts):
+            out = alpha * np.asarray(p0.pdf(pts), dtype=float)
+            for k, b in enumerate(betas, start=1):
+                if b > 0.0:
+                    out = out + b * self.pdf(k, models[k])(pts)
+            return out
+
+        return pdf
 
 
 def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
@@ -199,6 +224,7 @@ def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
 
     is_kde = isinstance(gen, KdeGenerator)
     models: dict[int, object] = {}  # retained generators, keyed by model index
+    memo = _GridMemo()
     records: list[GenerationRecord] = []
     kl_history: list[float] = []
 
@@ -261,12 +287,13 @@ def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
 
         box = p0.support_hint
         if is_kde:
-            tv0 = tv_quadrature(model.pdf, p0.pdf, box, nodes=cfg.eval_nodes)
+            model_pdf = memo.pdf(g, model)
+            tv0 = tv_quadrature(model_pdf, p0.pdf, box, nodes=cfg.eval_nodes)
             if g == 1:
                 tv_prev = tv0
             else:
-                prev_pdf = _mixture_pdf(p0, weights, models)
-                tv_prev = tv_quadrature(model.pdf, prev_pdf, box, nodes=cfg.eval_nodes)
+                prev_pdf = memo.mixture_pdf(p0, weights, models)
+                tv_prev = tv_quadrature(model_pdf, prev_pdf, box, nodes=cfg.eval_nodes)
         else:
             model_pts = diffusion.reverse_sample(
                 model.net, gen.cfg, cfg.eval_samples, int(eval_seeds[g]), dim=d
@@ -315,6 +342,7 @@ def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
         models[g] = model
         if not cfg.schedule.needs_history:
             models = {g: model}
+            memo.values = {k: v for k, v in memo.values.items() if k in models}
 
     return LoopTrace(
         config=cfg,

@@ -5,6 +5,7 @@ import pytest
 
 from sclab.distributions import Gauss1D, Gauss2D, SampleSet
 from sclab.divergences import (
+    MIN_NODES,
     TVEstimate,
     default_bins,
     kl_quadrature,
@@ -120,6 +121,13 @@ class TestKLQuadrature:
     def test_support_violation_gives_inf(self):
         wide, narrow = Gauss1D(0, 1), Gauss1D(0, 0.05)
         assert kl_quadrature(wide.pdf, narrow.pdf, STD_BOX) == math.inf
+
+    def test_rejects_small_grids(self):
+        g = Gauss1D(0, 1)
+        for nodes in (2, 512, MIN_NODES - 1):
+            with pytest.raises(ValueError, match="nodes"):
+                kl_quadrature(g.pdf, g.pdf, STD_BOX, nodes=nodes)
+        assert abs(kl_quadrature(g.pdf, g.pdf, STD_BOX, nodes=MIN_NODES)) < 1e-8
 
     def test_pinsker_random_pairs(self):
         rng = np.random.default_rng(7)

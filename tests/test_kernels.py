@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sclab import kernels
 from sclab.distributions import Gauss1D, Gauss2D, SampleSet
 from sclab.kernels import (
     KdeModel,
@@ -87,6 +88,67 @@ class TestFitAndPdf:
         model = fit(g.sample(256, 7), KernelSpec.gaussian())
         v = model.pdf(np.array([0.0, 0.0]))
         assert v > 0
+
+
+def untiled_pdf(model: KdeModel, x) -> np.ndarray:
+    """The estimate with each sample block formed over every row in one pass."""
+    batch = np.asarray(x, dtype=float).reshape(-1, model.dim)
+    pts, h = model.samples.points, model.bandwidth
+    n, d = pts.shape
+    out = np.zeros(batch.shape[0])
+    step = max(1, kernels._CHUNK_CELLS // batch.shape[0])
+    for j0 in range(0, n, step):
+        u = (batch[:, None, :] - pts[None, j0 : j0 + step, :]) / h
+        k = model.kernel.profile_1d(u)
+        out += (k.prod(axis=2) if d > 1 else k[:, :, 0]).sum(axis=1)
+    return out / (n * h**d)
+
+
+def model_and_grid(kernel: KernelSpec, d: int, n: int, nodes: int):
+    pts = np.random.default_rng(d).standard_normal((n, d))
+    model = KdeModel(SampleSet(pts, 0), kernel, bandwidth=bandwidth(n, kernel.order, d))
+    axes = [np.linspace(-4.0, 4.0, nodes)] * d
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return model, grid
+
+
+class TestTiledPdf:
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("d, nodes", [(1, 4097), (2, 65)])
+    def test_bit_identical_to_untiled(self, kernel, d, nodes):
+        model, grid = model_and_grid(kernel, d, 1500, nodes)
+        q = grid.shape[0]
+        step = kernels._CHUNK_CELLS // q
+        rows = kernels._TILE_CELLS // step
+        assert q % rows and 1500 % step  # a short last tile and a short last block
+        assert np.array_equal(kde_pdf(model, grid), untiled_pdf(model, grid))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_single_point(self, d):
+        model, _ = model_and_grid(KernelSpec.gaussian(), d, 300, 3)
+        x = 0.3 if d == 1 else np.array([0.3, -0.2])
+        value = kde_pdf(model, x)
+        assert isinstance(value, float)
+        assert value == untiled_pdf(model, x)[0]
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("d, nodes", [(1, 101), (2, 11)])
+    def test_many_tiles(self, monkeypatch, kernel, d, nodes):
+        model, grid = model_and_grid(kernel, d, 50, nodes)
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", 1000)
+        whole = untiled_pdf(model, grid)
+        calls = []
+        profile = KernelSpec.profile_1d
+        monkeypatch.setattr(
+            KernelSpec, "profile_1d", lambda self, u: calls.append(u.shape) or profile(self, u)
+        )
+        monkeypatch.setattr(kernels, "_TILE_CELLS", 20)
+        assert np.array_equal(kde_pdf(model, grid), whole)
+        q = grid.shape[0]
+        step = 1000 // q  # 9 samples per block in 1-d, 8 in 2-d
+        rows = 20 // step  # 2 rows per tile
+        assert len(calls) == -(-50 // step) * -(-q // rows)
+        assert max(shape[0] for shape in calls) == rows
 
 
 class TestSampling:

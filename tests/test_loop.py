@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sclab import kernels, loop
 from sclab.diffusion import DiffusionConfig, ScoreNet
 from sclab.distributions import Gauss1D
 from sclab.kernels import KernelSpec
@@ -140,6 +141,81 @@ class TestDecompositionConsistency:
                 + sum(r.tv_to_p0.tolerance for r in trace.records[: g - 1])
             )
             assert rec.tv_to_p0.value <= rhs + slack + 1e-9
+
+
+def count_kde_pdf(monkeypatch, probe=lambda: None):
+    """Record each kde_pdf call's model, and ``probe()`` at the time of the call."""
+    calls = []
+    real = kernels.kde_pdf
+
+    def counted(model, x):
+        calls.append((model, probe()))
+        return real(model, x)
+
+    monkeypatch.setattr(kernels, "kde_pdf", counted)
+    return calls
+
+
+MEMO_SCHEDULES = {
+    "balanced": MixtureSchedule.balanced(6),
+    "full_synthetic": MixtureSchedule.full_synthetic(6),
+    "all_real": MixtureSchedule.all_real(6),
+}
+
+
+class TestGridMemo:
+    @pytest.mark.parametrize("schedule", MEMO_SCHEDULES.values(), ids=MEMO_SCHEDULES)
+    def test_each_model_evaluated_once(self, monkeypatch, schedule):
+        calls = count_kde_pdf(monkeypatch)
+        run_loop(kde_config(schedule, n=256), 0)
+        assert len(calls) == 6
+        assert len({id(model) for model, _ in calls}) == 6
+
+    @pytest.mark.parametrize("schedule", MEMO_SCHEDULES.values(), ids=MEMO_SCHEDULES)
+    def test_records_bit_equal_to_fresh_evaluation(self, monkeypatch, schedule):
+        cfg = kde_config(schedule, n=256)
+        memo = run_loop(cfg, 0)
+        monkeypatch.setattr(loop._GridMemo, "pdf", lambda self, k, model: model.pdf)
+        calls = count_kde_pdf(monkeypatch)
+        fresh = run_loop(cfg, 0)
+        assert len(calls) > 6  # the oracle re-evaluates kept models
+        # exact float equality on every field, TV raw values and tolerances included
+        assert memo.records == fresh.records
+
+    @pytest.mark.parametrize(
+        "name, kept",
+        [
+            ("full_synthetic", [0, 1, 1, 1, 1, 1]),
+            ("all_real", [0, 1, 1, 1, 1, 1]),
+            ("balanced", [0, 1, 2, 3, 4, 5]),
+        ],
+    )
+    def test_values_pruned_with_models(self, monkeypatch, name, kept):
+        memos = []
+
+        class Probe(loop._GridMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(loop, "_GridMemo", Probe)
+        calls = count_kde_pdf(monkeypatch, probe=lambda: len(memos[0].values))
+        run_loop(kde_config(MEMO_SCHEDULES[name], n=128), 0)
+        # values held from earlier generations when each new model is evaluated
+        assert [held for _, held in calls] == kept
+
+    def test_other_grid_evaluated_afresh(self, monkeypatch):
+        model = kernels.fit(GAUSS.sample(64, 1), KernelSpec.gaussian())
+        grid = np.linspace(-4.0, 4.0, 33)[:, None]
+        other = np.linspace(-3.0, 3.0, 33)[:, None]
+        memo = loop._GridMemo()
+        pdf = memo.pdf(1, model)
+        calls = count_kde_pdf(monkeypatch)
+        assert np.array_equal(pdf(grid), model.pdf(grid))
+        assert pdf(grid.copy()) is memo.values[1]
+        assert np.array_equal(pdf(other), model.pdf(other))
+        assert len(calls) == 4  # one memoised call, one fresh, two direct
+        assert list(memo.values) == [1] and memo.grid is grid
 
 
 class TestSampleBudgets:
