@@ -23,6 +23,9 @@ from .mixing import MixtureSchedule
 
 _ORACLE_LIMIT = 12  # path expansion is exponential in the generation count
 
+# generator families with a bound evaluator: bound_diffusion, bound_kde, bound_flow
+FAMILIES = ("diffusion", "kde", "flow")
+
 
 @dataclass(frozen=True)
 class CoefficientTable:
@@ -161,19 +164,38 @@ def _weighted_sum(schedule: MixtureSchedule, inputs: BoundInputs, term) -> float
     return math.fsum(table.values[k] * term(k) for k in range(i + 1))
 
 
+def _terms(family: str, inputs: BoundInputs):
+    """Per-generation term k -> value of ``family``'s bound; the one place
+    each family's formula is written."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown bound family {family!r}")
+    i = max(inputs.generation, 1)
+    n, d, delta = inputs.n, inputs.d, inputs.delta
+    if family == "diffusion":
+        log_term = math.sqrt(d * math.log(d * i / delta))
+        return lambda k: n[k] ** -0.25 * log_term + math.sqrt(inputs.kl_at(k))
+    if family == "kde":
+        if inputs.s is None:
+            raise ValueError("kernel-estimate bound needs the smoothness order s")
+        s = inputs.s
+        log_term = math.sqrt(math.log(i / delta))
+        rate = s / (2 * s + 2 * d)
+        var_rate = (2 * s + d) / (4 * s + 4 * d)
+        return lambda k: n[k] ** -rate * log_term + n[k] ** -var_rate
+    if inputs.R is None:
+        raise ValueError("flow bound needs the norm cap R")
+    R = inputs.R
+    log_term = math.log(i / delta) ** 0.25
+    return lambda k: n[k] ** -0.25 * R * math.sqrt(1.0 + R * R) * log_term
+
+
 def bound_diffusion(schedule: MixtureSchedule, inputs: BoundInputs) -> float:
     """Up-to-constant TV bound for the diffusion generator family.
 
     Per-generation term: n_k**(-1/4) * sqrt(d * log(d * i / delta)) plus the
     square root of the prior-mismatch KL.
     """
-    i = max(inputs.generation, 1)
-    log_term = math.sqrt(inputs.d * math.log(inputs.d * i / inputs.delta))
-
-    def term(k: int) -> float:
-        return inputs.n[k] ** -0.25 * log_term + math.sqrt(inputs.kl_at(k))
-
-    return _weighted_sum(schedule, inputs, term)
+    return _weighted_sum(schedule, inputs, _terms("diffusion", inputs))
 
 
 def bound_kde(schedule: MixtureSchedule, inputs: BoundInputs) -> float:
@@ -182,19 +204,7 @@ def bound_kde(schedule: MixtureSchedule, inputs: BoundInputs) -> float:
     Per-generation term: n_k**(-s/(2s+2d)) * sqrt(log(i / delta)) plus
     n_k**(-(2s+d)/(4s+4d)).
     """
-    if inputs.s is None:
-        raise ValueError("kernel-estimate bound needs the smoothness order s")
-    s, d = inputs.s, inputs.d
-    i = max(inputs.generation, 1)
-    log_term = math.sqrt(math.log(i / inputs.delta))
-    rate = s / (2 * s + 2 * d)
-    var_rate = (2 * s + d) / (4 * s + 4 * d)
-
-    def term(k: int) -> float:
-        n = inputs.n[k]
-        return n**-rate * log_term + n**-var_rate
-
-    return _weighted_sum(schedule, inputs, term)
+    return _weighted_sum(schedule, inputs, _terms("kde", inputs))
 
 
 def bound_flow(schedule: MixtureSchedule, inputs: BoundInputs) -> float:
@@ -202,16 +212,7 @@ def bound_flow(schedule: MixtureSchedule, inputs: BoundInputs) -> float:
 
     Per-generation term: n_k**(-1/4) * R * sqrt(1 + R^2) * log(i/delta)**(1/4).
     """
-    if inputs.R is None:
-        raise ValueError("flow bound needs the norm cap R")
-    R = inputs.R
-    i = max(inputs.generation, 1)
-    log_term = math.log(i / inputs.delta) ** 0.25
-
-    def term(k: int) -> float:
-        return inputs.n[k] ** -0.25 * R * math.sqrt(1.0 + R * R) * log_term
-
-    return _weighted_sum(schedule, inputs, term)
+    return _weighted_sum(schedule, inputs, _terms("flow", inputs))
 
 
 def bound_fixed_ratio(
@@ -359,39 +360,22 @@ def alpha_requirement(i: int) -> float:
 def bound_table_rows(
     schedule: MixtureSchedule, inputs: BoundInputs, family: str = "diffusion"
 ) -> list[dict]:
-    """Per-generation breakdown rows for the bounds report CSV."""
-    evaluators = {"diffusion": bound_diffusion, "kde": bound_kde, "flow": bound_flow}
-    if family not in evaluators:
-        raise ValueError(f"unknown bound family {family!r}")
-    total = evaluators[family](schedule, inputs)
+    """Per-generation breakdown rows for the bounds report CSV.
+
+    ``total_bound`` is the family's ``bound_<family>`` value.
+    """
+    term = _terms(family, inputs)
+    total = _weighted_sum(schedule, inputs, term)
     i = inputs.generation
     table = coefficients(schedule, i)
-    log_i = max(i, 1)
-    rows = []
-    for k in range(i + 1):
-        n = inputs.n[k]
-        if family == "diffusion":
-            term = n**-0.25 * math.sqrt(
-                inputs.d * math.log(inputs.d * log_i / inputs.delta)
-            ) + math.sqrt(inputs.kl_at(k))
-        elif family == "kde":
-            s, d = inputs.s, inputs.d
-            term = n ** -(s / (2 * s + 2 * d)) * math.sqrt(
-                math.log(log_i / inputs.delta)
-            ) + n ** -((2 * s + d) / (4 * s + 4 * d))
-        else:
-            R = inputs.R
-            term = n**-0.25 * R * math.sqrt(1 + R * R) * math.log(
-                log_i / inputs.delta
-            ) ** 0.25
-        rows.append(
-            {
-                "schedule": schedule.kind,
-                "i": i,
-                "k": k,
-                "A_k": table.values[k],
-                "bound_term": term,
-                "total_bound": total,
-            }
-        )
-    return rows
+    return [
+        {
+            "schedule": schedule.kind,
+            "i": i,
+            "k": k,
+            "A_k": table.values[k],
+            "bound_term": term(k),
+            "total_bound": total,
+        }
+        for k in range(i + 1)
+    ]

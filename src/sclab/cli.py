@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, bounds, kernels, loop
+from . import __version__, bounds, kernels, loop, mixing
 from .distributions import Gauss1D, Gauss2D, GaussMixture1D, TargetDensity, kl_gauss1d
-from .divergences import kl_quadrature, tv_quadrature
+from .divergences import tv_quadrature
 from .kernels import KernelSpec
 from .loop import (
     BalancedSizes,
@@ -191,11 +191,7 @@ _TARGET_KEYS = {
 }
 
 _SCHEDULE_KEYS = {
-    "kind": (
-        True,
-        _p_enum("general", "full_synthetic", "balanced", "fixed_ratio", "real_each_gen"),
-        None,
-    ),
+    "kind": (True, _p_enum(*mixing._KINDS), None),
     "max_generation": (True, _p_pos_int, None),
     "n_real": (False, _p_pos_int, None),
     "m_synth": (False, _p_int, None),
@@ -211,11 +207,7 @@ _LOOP_KEYS = {
 }
 
 _KDE_KEYS = {
-    "kernel": (
-        False,
-        _p_enum("gaussian", "epanechnikov", "higher_order_gaussian"),
-        "gaussian",
-    ),
+    "kernel": (False, _p_enum(*kernels._PROFILES), "gaussian"),
     "order": (False, _p_pos_int, None),
 }
 
@@ -246,7 +238,7 @@ _PHASE_KEYS = {
 }
 
 _BOUNDS_KEYS = {
-    "family": (False, _p_enum("diffusion", "kde", "flow"), "diffusion"),
+    "family": (False, _p_enum(*bounds.FAMILIES), "diffusion"),
     "n": (True, _p_size_rule, None),
     "d": (False, _p_pos_int, "1"),
     "delta": (False, _p_pos_float, "0.1"),
@@ -409,7 +401,23 @@ def _build_target(v: dict, errors: list[str]) -> TargetDensity | None:
     return None
 
 
-def _build_schedule(v: dict, errors: list[str]) -> MixtureSchedule | None:
+def _build_schedule(kind, gens, n_real=None, m_synth=None, alpha=None, rows=None):
+    """The one schedule builder, for [schedule] sections and ``sclab bounds``.
+
+    Raises ValueError when the kind's parameters are missing or invalid.
+    """
+    if kind == "full_synthetic":
+        return MixtureSchedule.full_synthetic(gens)
+    if kind == "balanced":
+        return MixtureSchedule.balanced(gens)
+    if kind == "fixed_ratio":
+        return MixtureSchedule.fixed_ratio(n_real, m_synth, gens)
+    if kind == "real_each_gen":
+        return MixtureSchedule.real_each_gen(alpha, gens)
+    return MixtureSchedule.general(rows)
+
+
+def _schedule_section(v: dict, errors: list[str]) -> MixtureSchedule | None:
     kind = v.get("kind")
     gens = v.get("max_generation")
     if kind is None or gens is None:
@@ -418,22 +426,9 @@ def _build_schedule(v: dict, errors: list[str]) -> MixtureSchedule | None:
     if kind != "general" and rows_raw:
         errors.append("schedule: explicit rows are only valid for kind general")
         return None
-    try:
-        if kind == "full_synthetic":
-            return MixtureSchedule.full_synthetic(gens)
-        if kind == "balanced":
-            return MixtureSchedule.balanced(gens)
-        if kind == "fixed_ratio":
-            if v.get("n_real") is None or v.get("m_synth") is None:
-                errors.append("schedule: fixed_ratio needs n_real and m_synth")
-                return None
-            return MixtureSchedule.fixed_ratio(v["n_real"], v["m_synth"], gens)
-        if kind == "real_each_gen":
-            if v.get("alpha") is None:
-                errors.append("schedule: real_each_gen needs alpha")
-                return None
-            return MixtureSchedule.real_each_gen(v["alpha"], gens)
-        # general: row<i> = alpha, beta_1, ..., beta_i for every generation
+    rows = None
+    if kind == "general":
+        # row<i> = alpha, beta_1, ..., beta_i for every generation
         rows = []
         ok = True
         for i in range(1, gens + 1):
@@ -454,7 +449,10 @@ def _build_schedule(v: dict, errors: list[str]) -> MixtureSchedule | None:
                 ok = False
         if not ok:
             return None
-        return MixtureSchedule.general(rows)
+    try:
+        return _build_schedule(
+            kind, gens, v.get("n_real"), v.get("m_synth"), v.get("alpha"), rows
+        )
     except ValueError as exc:
         errors.append(f"schedule: {exc}")
     return None
@@ -467,35 +465,25 @@ def _validate_semantics(scenario: str, values: dict, errors: list[str]) -> None:
         if scenario == "diffusion_1d" and target is not None and target.dim != 1:
             errors.append("target: diffusion_1d needs a one-dimensional target")
     if "schedule" in values:
-        schedule = _build_schedule(values["schedule"], errors)
+        schedule = _schedule_section(values["schedule"], errors)
         values["schedule_obj"] = schedule
-        if schedule is not None and scenario in LOOP_SCENARIOS:
-            expect = {
-                "full_synthetic": "full_synthetic",
-                "balanced": "balanced",
-                "real_each_gen": "real_each_gen",
-            }.get(scenario)
-            if expect and schedule.kind != expect:
-                errors.append(
-                    f"schedule.kind: scenario {scenario} requires kind {expect}"
-                )
+        # these loop scenarios are named after the one schedule kind they run
+        named = scenario in ("full_synthetic", "balanced", "real_each_gen")
+        if schedule is not None and named and schedule.kind != scenario:
+            errors.append(f"schedule.kind: scenario {scenario} requires kind {scenario}")
+    if "kde" in values:
+        kv = values["kde"]
+        default_order = 4 if kv["kernel"] == "higher_order_gaussian" else 2
+        try:
+            values["kernel_obj"] = KernelSpec(kv["kernel"], kv.get("order", default_order))
+        except ValueError as exc:
+            errors.append(f"kde: {exc}")
     if scenario in LOOP_SCENARIOS or scenario == "fixed_ratio_sweep":
         gen_kind = values.get("loop", {}).get("generator")
         if scenario == "diffusion_1d" and gen_kind != "diffusion":
             errors.append("loop.generator: diffusion_1d requires the diffusion generator")
-        if gen_kind == "kde":
-            try:
-                values["generator_obj"] = KdeGenerator(
-                    kernel=KernelSpec(
-                        values["kde"].get("kernel", "gaussian"),
-                        values["kde"].get(
-                            "order",
-                            2 if values["kde"].get("kernel", "gaussian") != "higher_order_gaussian" else 4,
-                        ),
-                    )
-                )
-            except ValueError as exc:
-                errors.append(f"kde: {exc}")
+        if gen_kind == "kde" and "kernel_obj" in values:
+            values["generator_obj"] = KdeGenerator(kernel=values["kernel_obj"])
         elif gen_kind == "diffusion":
             dv = values.get("diffusion", {})
             try:
@@ -572,42 +560,28 @@ def _loop_config(cfg: ExperimentConfig, schedule: MixtureSchedule, scenario_size
     )
 
 
-def _bound_rows_for(schedule, sizes, d, delta, generator, kl_terms=None):
-    i = max(0, schedule.max_generation - 1)
-    inputs = bounds.BoundInputs(
-        n=tuple(sizes[: i + 1]),
-        d=d,
-        delta=delta,
-        kl_terms=kl_terms,
-        s=generator.smoothness if isinstance(generator, KdeGenerator) else None,
-    )
-    family = "kde" if isinstance(generator, KdeGenerator) else "diffusion"
-    return bounds.bound_table_rows(schedule, inputs, family)
+def _loop_bound_rows(lcfg: LoopConfig) -> list[dict]:
+    """bounds.csv rows of a loop run: the generator's family at generation
+    max_generation - 1, with no prior-mismatch terms."""
+    i = max(0, lcfg.max_generation - 1)
+    gen = lcfg.generator
+    inputs = gen.bound_inputs(lcfg.resolved_sizes()[: i + 1], lcfg.p0.dim, lcfg.delta)
+    return bounds.bound_table_rows(lcfg.schedule, inputs, gen.family)
 
 
 def _run_loop_scenario(cfg: ExperimentConfig, out_dir: Path) -> None:
-    schedule = cfg.values["schedule_obj"]
-    lcfg = _loop_config(cfg, schedule)
+    lcfg = _loop_config(cfg, cfg.values["schedule_obj"])
     traces, _ = loop.run_replicates(lcfg)
     rows = []
     for trace in traces:
         rows.extend(loop.trace_rows(trace, cfg.scenario))
     write_csv_atomic(out_dir / "results.csv", RESULT_COLUMNS, rows)
-    sizes = lcfg.resolved_sizes()
-    write_csv_atomic(
-        out_dir / "bounds.csv",
-        BOUND_COLUMNS,
-        _bound_rows_for(schedule, sizes, lcfg.p0.dim, lcfg.delta, lcfg.generator),
-    )
+    write_csv_atomic(out_dir / "bounds.csv", BOUND_COLUMNS, _loop_bound_rows(lcfg))
 
 
 def _run_kde_rate(cfg: ExperimentConfig, out_dir: Path) -> None:
     target = cfg.values["target_obj"]
-    kv = cfg.values["kde"]
-    kernel = KernelSpec(
-        kv.get("kernel", "gaussian"),
-        kv.get("order", 2 if kv.get("kernel", "gaussian") != "higher_order_gaussian" else 4),
-    )
+    kernel = cfg.values["kernel_obj"]
     sizes = cfg.values["kde_rate"]["sizes"]
     n_seeds = cfg.values["kde_rate"]["seeds"]
     seed_grid = np.random.default_rng([cfg.base_seed, 0x6B5E]).integers(
@@ -655,12 +629,23 @@ def _run_fixed_ratio_sweep(cfg: ExperimentConfig, out_dir: Path) -> None:
         traces, _ = loop.run_replicates(lcfg)
         for trace in traces:
             rows.extend(loop.trace_rows(trace, label))
-        for row in _bound_rows_for(
-            schedule, lcfg.resolved_sizes(), lcfg.p0.dim, lcfg.delta, lcfg.generator
-        ):
+        for row in _loop_bound_rows(lcfg):
             bound_rows.append({**row, "schedule": label})
     write_csv_atomic(out_dir / "results.csv", RESULT_COLUMNS, rows)
     write_csv_atomic(out_dir / "bounds.csv", BOUND_COLUMNS, bound_rows)
+
+
+def _bound_rows(schedule, family, i, n, d, delta, kl, s=None, r_cap=None) -> list[dict]:
+    """bounds.csv rows at generation ``i``, for [bounds] configs and ``sclab bounds``.
+
+    ``n`` is a size rule; ``kl`` holds one prior-mismatch term per generation
+    or a single term for all of them.
+    """
+    kl_terms = kl * (i + 1) if len(kl) == 1 else kl
+    inputs = bounds.BoundInputs(
+        n=n.resolve(i + 1, d), d=d, delta=delta, kl_terms=kl_terms, s=s, R=r_cap
+    )
+    return bounds.bound_table_rows(schedule, inputs, family)
 
 
 def _run_bounds_report(cfg: ExperimentConfig, out_dir: Path) -> None:
@@ -669,25 +654,14 @@ def _run_bounds_report(cfg: ExperimentConfig, out_dir: Path) -> None:
     i = bv.get("i", schedule.max_generation)
     if i > schedule.max_generation:
         raise ConfigError([f"bounds.i: {i} exceeds schedule.max_generation"])
-    kl = bv["kl"]
-    kl_terms = tuple(kl) * (i + 1) if len(kl) == 1 else tuple(kl)
     try:
-        sizes = bv["n"].resolve(i + 1, bv["d"])
-        inputs = bounds.BoundInputs(
-            n=sizes,
-            d=bv["d"],
-            delta=bv["delta"],
-            kl_terms=kl_terms,
-            s=bv.get("s"),
-            R=bv.get("r_cap"),
+        rows = _bound_rows(
+            schedule, bv["family"], i, bv["n"], bv["d"], bv["delta"], bv["kl"],
+            s=bv.get("s"), r_cap=bv.get("r_cap"),
         )
     except ValueError as exc:
         raise ConfigError([f"bounds: {exc}"]) from exc
-    write_csv_atomic(
-        out_dir / "bounds.csv",
-        BOUND_COLUMNS,
-        bounds.bound_table_rows(schedule, inputs, bv["family"]),
-    )
+    write_csv_atomic(out_dir / "bounds.csv", BOUND_COLUMNS, rows)
 
 
 def _run_phase_transition(cfg: ExperimentConfig, out_dir: Path) -> None:
@@ -871,31 +845,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     try:
-        gens = args.i
-        if args.schedule == "fixed_ratio":
-            if args.n_real is None or args.m_synth is None:
-                raise ValueError("fixed_ratio needs --n-real and --m-synth")
-            schedule = MixtureSchedule.fixed_ratio(args.n_real, args.m_synth, max(1, gens))
-        elif args.schedule == "real_each_gen":
-            if args.alpha is None:
-                raise ValueError("real_each_gen needs --alpha")
-            schedule = MixtureSchedule.real_each_gen(args.alpha, max(1, gens))
-        elif args.schedule == "full_synthetic":
-            schedule = MixtureSchedule.full_synthetic(max(1, gens))
-        elif args.schedule == "balanced":
-            schedule = MixtureSchedule.balanced(max(1, gens))
-        else:
-            raise ValueError("general schedules need a config file")
-        counts = _p_int_list(args.n)
-        sizes = counts * (gens + 1) if len(counts) == 1 else counts
-        kl = _p_float_list(args.kl)
-        kl_terms = kl * (gens + 1) if len(kl) == 1 else kl
-        inputs = bounds.BoundInputs(
-            n=sizes, d=args.d, delta=args.delta, kl_terms=kl_terms,
-            s=args.s, R=args.r_cap,
+        schedule = _build_schedule(
+            args.schedule, max(1, args.i), args.n_real, args.m_synth, args.alpha
         )
-        rows = bounds.bound_table_rows(schedule, inputs, args.family)
-    except (ValueError, ConfigError) as exc:
+        counts = _p_int_list(args.n)
+        n = ConstantSizes(counts[0]) if len(counts) == 1 else ExplicitSizes(counts)
+        rows = _bound_rows(
+            schedule, args.family, args.i, n, args.d, args.delta, _p_float_list(args.kl),
+            s=args.s, r_cap=args.r_cap,
+        )
+    except ValueError as exc:
         print(_error_record("config", errors=[str(exc)]), file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out)
@@ -922,14 +881,14 @@ def main(argv=None) -> int:
     p_bounds.add_argument(
         "--schedule",
         required=True,
-        choices=("full_synthetic", "balanced", "fixed_ratio", "real_each_gen"),
+        choices=[k for k in mixing._KINDS if k != "general"],
     )
     p_bounds.add_argument("--i", type=int, required=True, help="final generation index")
     p_bounds.add_argument("--n", default="4096", help="sample counts (single or list)")
     p_bounds.add_argument("--d", type=int, default=1)
     p_bounds.add_argument("--delta", type=float, default=0.1)
     p_bounds.add_argument("--kl", default="0.0", help="prior KL terms (single or list)")
-    p_bounds.add_argument("--family", choices=("diffusion", "kde", "flow"), default="diffusion")
+    p_bounds.add_argument("--family", choices=bounds.FAMILIES, default="diffusion")
     p_bounds.add_argument("--s", type=int, help="smoothness order (kde family)")
     p_bounds.add_argument("--r-cap", type=float, dest="r_cap", help="norm cap (flow family)")
     p_bounds.add_argument("--n-real", type=int, dest="n_real")

@@ -355,6 +355,18 @@ def reverse_sample(
     return SampleSet(x, seed)
 
 
+@dataclass(frozen=True)
+class DiffusionModel:
+    """A trained score net with the sampler settings it was trained under."""
+
+    net: ScoreNet
+    cfg: DiffusionConfig
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` reverse-SDE draws, seeded from ``rng``."""
+        return reverse_sample(self.net, self.cfg, n, int(rng.integers(0, 2**63))).points
+
+
 def prior_kl_gauss(mu0: float, sigma0: float, cfg: DiffusionConfig) -> float:
     """Closed-form KL between the diffused data law at the horizon and N(0, 1).
 

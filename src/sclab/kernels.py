@@ -148,16 +148,11 @@ class KdeModel:
         )
 
 
-def fit(samples: SampleSet, kernel: KernelSpec, s: int | None = None) -> KdeModel:
-    """Fit a kernel estimate with the balancing bandwidth for order ``s``.
-
-    ``s`` defaults to the kernel's own order.
-    """
+def fit(samples: SampleSet, kernel: KernelSpec) -> KdeModel:
+    """Fit a kernel estimate with the balancing bandwidth for the kernel's order."""
     if samples.n == 0:
         raise ValueError("cannot fit on an empty sample set")
-    if s is None:
-        s = kernel.order
-    h = bandwidth(samples.n, s, samples.dim)
+    h = bandwidth(samples.n, kernel.order, samples.dim)
     if samples.n * h**samples.dim < _MASS_GUARD:
         warnings.warn(
             f"n * h^d = {samples.n * h ** samples.dim:.3g} < {_MASS_GUARD}: "

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
 from . import bounds, diffusion, kernels
-from .distributions import SampleSet, TargetDensity
+from .distributions import TargetDensity
 from .divergences import TVEstimate, tv_histogram, tv_quadrature
 from .kernels import KdeModel, KernelSpec
 from .mixing import MixtureSchedule, sample_mixture
@@ -27,34 +27,97 @@ class LoopError(RuntimeError):
     """Generator training failure, annotated with the failing generation."""
 
 
-class _ReverseSampler:
-    """Mixture-component adapter: draws from a trained score net by reverse SDE."""
-
-    def __init__(self, net: diffusion.ScoreNet, cfg: diffusion.DiffusionConfig):
-        self.net = net
-        self.cfg = cfg
-
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        seed = int(rng.integers(0, 2**63))
-        return diffusion.reverse_sample(self.net, self.cfg, n, seed, dim=self.net.dim).points
-
-
 @dataclass(frozen=True)
 class KdeGenerator:
-    kernel: KernelSpec
-    order: int | None = None  # bandwidth order; defaults to the kernel's own
+    """Kernel density estimate at the kernel's own balancing bandwidth.
 
-    @property
-    def smoothness(self) -> int:
-        return self.kernel.order if self.order is None else self.order
+    Measures TV by quadrature on the target's box; bounds with the ``kde``
+    family at smoothness order ``kernel.order``.
+    """
+
+    kernel: KernelSpec
+    family: ClassVar[str] = "kde"
+
+    def fit(self, data, seed_row) -> tuple[KdeModel, dict, None]:
+        model = kernels.fit(data, self.kernel)
+        return model, {"bandwidth": model.bandwidth}, None
+
+    def measurement(self, cfg: "LoopConfig"):
+        """Per-run TV to p0 and to the previous mixture on one quadrature grid,
+        each kept model evaluated on it once."""
+        p0, box, nodes = cfg.p0, cfg.p0.support_hint, cfg.eval_nodes
+        memo = _GridMemo()
+
+        def measure(g, model, weights, models):
+            memo.values = {k: v for k, v in memo.values.items() if k in models}
+            model_pdf = memo.pdf(g, model)
+            tv0 = tv_quadrature(model_pdf, p0.pdf, box, nodes=nodes)
+            if g == 1:
+                return tv0, tv0
+            prev_pdf = memo.mixture_pdf(p0, weights, models)
+            return tv0, tv_quadrature(model_pdf, prev_pdf, box, nodes=nodes)
+
+        return measure
+
+    def bound_inputs(self, n, d: int, delta: float, kl_terms=None) -> bounds.BoundInputs:
+        return bounds.BoundInputs(n=n, d=d, delta=delta, s=self.kernel.order)
 
 
 @dataclass(frozen=True)
 class DiffusionGenerator:
+    """Random-feature score net trained by gradient descent, sampled by the
+    reverse SDE.
+
+    Measures TV by histograms of reverse-SDE draws; bounds with the
+    ``diffusion`` family, each generation's prior-mismatch KL included.
+    """
+
     cfg: diffusion.DiffusionConfig = field(default_factory=diffusion.DiffusionConfig)
     width_factor: float = 1.0  # network width = ceil(factor * n)
     tau_factor: float = 1.0  # descent steps = ceil(factor * sqrt(n))
     lr: float | None = None  # None: 1 / top-eigenvalue estimate
+    family: ClassVar[str] = "diffusion"
+
+    def fit(self, data, seed_row) -> tuple[diffusion.DiffusionModel, dict, float]:
+        """Train a fresh net with the init and train seeds of ``seed_row``."""
+        width = max(1, math.ceil(self.width_factor * data.n))
+        tau = math.ceil(self.tau_factor * math.sqrt(data.n))
+        net = diffusion.init_scorenet(width, data.dim, self.cfg.embed_dim, int(seed_row[1]))
+        report = diffusion.train(
+            net, data, self.cfg, lr=self.lr, tau_steps=tau, seed=int(seed_row[2])
+        )
+        diagnostics = {
+            "steps": report.steps_run,
+            "final_loss": report.losses[-1],
+            "rkhs_norm": report.rkhs_norm,
+            "lr": report.lr,
+        }
+        kl_prior = sum(
+            diffusion.prior_kl_gauss(float(col.mean()), max(float(col.std()), 1e-12), self.cfg)
+            for col in data.points.T
+        )
+        return diffusion.DiffusionModel(net, self.cfg), diagnostics, kl_prior
+
+    def measurement(self, cfg: "LoopConfig"):
+        """Per-run TV by histograms: each model's draw against one reference
+        draw of p0, and against a draw of the previous mixture."""
+        p0, box, n = cfg.p0, cfg.p0.support_hint, cfg.eval_samples
+        seeds = _eval_seeds(cfg.base_seed, cfg.max_generation)
+        ref = p0.sample(n, int(seeds[0]))
+
+        def measure(g, model, weights, models):
+            model_pts = diffusion.reverse_sample(model.net, self.cfg, n, int(seeds[g]))
+            tv0 = tv_histogram(model_pts, ref, box=box)
+            if g == 1:
+                return tv0, tv0
+            mix_seed = int(seeds[cfg.max_generation + g])
+            mix_pts = sample_mixture(p0, _draws(models, g), weights, n, mix_seed)
+            return tv0, tv_histogram(model_pts, mix_pts, box=box)
+
+        return measure
+
+    def bound_inputs(self, n, d: int, delta: float, kl_terms=None) -> bounds.BoundInputs:
+        return bounds.BoundInputs(n=n, d=d, delta=delta, kl_terms=kl_terms)
 
 
 Generator = Union[KdeGenerator, DiffusionGenerator]
@@ -211,27 +274,24 @@ class _GridMemo:
         return pdf
 
 
+def _draws(models: dict, g: int) -> list:
+    """Mixture components for models 1..g-1; pruned models carry no sampler."""
+    return [models[k].draw if k in models else None for k in range(1, g)]
+
+
 def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
     """Run one replicate of the loop and return its per-generation records."""
     gen = cfg.generator
     p0 = cfg.p0
-    d = p0.dim
     sizes = cfg.resolved_sizes()
-    total_gens = cfg.max_generation
     replicate_seed = cfg.base_seed + replicate
-    seeds = _gen_seeds(replicate_seed, total_gens)
-    eval_seeds = _eval_seeds(cfg.base_seed, total_gens)
-
-    is_kde = isinstance(gen, KdeGenerator)
-    models: dict[int, object] = {}  # retained generators, keyed by model index
-    memo = _GridMemo()
+    seeds = _gen_seeds(replicate_seed, cfg.max_generation)
+    measure = gen.measurement(cfg)
+    models: dict = {}  # retained fitted models, keyed by model index
     records: list[GenerationRecord] = []
     kl_history: list[float] = []
 
-    if not is_kde:
-        ref = p0.sample(cfg.eval_samples, int(eval_seeds[0]))
-
-    for g in range(1, total_gens + 1):
+    for g in range(1, cfg.max_generation + 1):
         n_g = sizes[g - 1]
         draw_seed = int(seeds[g - 1, 0])
         if g == 1:
@@ -240,89 +300,20 @@ def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
             weights = (1.0, ())
         else:
             weights = cfg.schedule.weights_at(g - 1)
-            components = [models.get(k) for k in range(1, g)]
             data, counts = sample_mixture(
-                p0, components, weights, n_g, draw_seed, return_counts=True
+                p0, _draws(models, g), weights, n_g, draw_seed, return_counts=True
             )
 
-        if is_kde:
-            model = kernels.fit(data, gen.kernel, gen.smoothness)
-            diagnostics = {"bandwidth": model.bandwidth}
-            kl_prior = None
-        else:
-            width = max(1, math.ceil(gen.width_factor * n_g))
-            tau = math.ceil(gen.tau_factor * math.sqrt(n_g))
-            net = diffusion.init_scorenet(
-                width, d, gen.cfg.embed_dim, int(seeds[g - 1, 1])
-            )
-            try:
-                report = diffusion.train(
-                    net, data, gen.cfg, lr=gen.lr, tau_steps=tau,
-                    seed=int(seeds[g - 1, 2]),
-                )
-            except diffusion.TrainingDivergence as exc:
-                raise LoopError(f"generation {g}: {exc}") from exc
-            model = _ReverseSampler(net, gen.cfg)
-            diagnostics = {
-                "steps": report.steps_run,
-                "final_loss": report.losses[-1],
-                "rkhs_norm": report.rkhs_norm,
-                "lr": report.lr,
-            }
-            mu = float(data.points.mean())
-            sd = float(data.points.std())
-            kl_prior = (
-                diffusion.prior_kl_gauss(mu, max(sd, 1e-12), gen.cfg)
-                if d == 1
-                else sum(
-                    diffusion.prior_kl_gauss(
-                        float(data.points[:, j].mean()),
-                        max(float(data.points[:, j].std()), 1e-12),
-                        gen.cfg,
-                    )
-                    for j in range(d)
-                )
-            )
+        try:
+            model, diagnostics, kl_prior = gen.fit(data, seeds[g - 1])
+        except diffusion.TrainingDivergence as exc:
+            raise LoopError(f"generation {g}: {exc}") from exc
+        if kl_prior is not None:
             kl_history.append(kl_prior)
-
-        box = p0.support_hint
-        if is_kde:
-            model_pdf = memo.pdf(g, model)
-            tv0 = tv_quadrature(model_pdf, p0.pdf, box, nodes=cfg.eval_nodes)
-            if g == 1:
-                tv_prev = tv0
-            else:
-                prev_pdf = memo.mixture_pdf(p0, weights, models)
-                tv_prev = tv_quadrature(model_pdf, prev_pdf, box, nodes=cfg.eval_nodes)
-        else:
-            model_pts = diffusion.reverse_sample(
-                model.net, gen.cfg, cfg.eval_samples, int(eval_seeds[g]), dim=d
-            )
-            tv0 = tv_histogram(model_pts, ref, box=box)
-            if g == 1:
-                tv_prev = tv0
-            else:
-                mix_pts = sample_mixture(
-                    p0,
-                    [models.get(k) for k in range(1, g)],
-                    weights,
-                    cfg.eval_samples,
-                    int(eval_seeds[total_gens + g]),
-                )
-                tv_prev = tv_histogram(model_pts, mix_pts, box=box)
-
-        inputs = bounds.BoundInputs(
-            n=sizes[:g],
-            d=d,
-            delta=cfg.delta,
-            kl_terms=tuple(kl_history) if not is_kde else None,
-            s=gen.smoothness if is_kde else None,
-        )
-        bound_value = (
-            bounds.bound_kde(cfg.schedule, inputs)
-            if is_kde
-            else bounds.bound_diffusion(cfg.schedule, inputs)
-        )
+        tv0, tv_prev = measure(g, model, weights, models)
+        inputs = gen.bound_inputs(sizes[:g], p0.dim, cfg.delta, tuple(kl_history))
+        # bound_<family> is read from the module at each call, so perfbench's tracer sees it
+        bound_value = getattr(bounds, f"bound_{gen.family}")(cfg.schedule, inputs)
 
         records.append(
             GenerationRecord(
@@ -342,7 +333,6 @@ def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
         models[g] = model
         if not cfg.schedule.needs_history:
             models = {g: model}
-            memo.values = {k: v for k, v in memo.values.items() if k in models}
 
     return LoopTrace(
         config=cfg,

@@ -166,7 +166,7 @@ def sample_mixture(
                     )
                 drawn = np.empty((0, dim))
             else:
-                drawn = _draw_from(sampler, c, rng)
+                drawn = np.asarray(sampler(c, rng), dtype=float)
         if drawn.ndim == 1:
             drawn = drawn[:, None]
         if drawn.shape != (c, dim):
@@ -182,9 +182,3 @@ def sample_mixture(
         return out, counts
     return out
 
-
-def _draw_from(sampler, n: int, rng: np.random.Generator) -> np.ndarray:
-    draw = getattr(sampler, "draw", None)
-    if callable(draw):
-        return np.asarray(draw(n, rng), dtype=float)
-    return np.asarray(sampler(n, rng), dtype=float)

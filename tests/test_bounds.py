@@ -16,6 +16,7 @@ from sclab.bounds import (
     bound_flow,
     bound_kde,
     bound_real_each_gen,
+    bound_table_rows,
     coefficients,
     coefficients_bruteforce,
     f_lambda,
@@ -210,6 +211,54 @@ class TestBoundFlow:
     def test_requires_cap(self):
         with pytest.raises(ValueError):
             bound_flow(MixtureSchedule.balanced(1), BoundInputs(n=(16, 16)))
+
+
+# i = 2, d = 1, delta = 1/2, so log(i / delta) = log 4; each term is written by hand
+LOG4 = math.log(4.0)
+TABLE_FAMILIES = {
+    "diffusion": (
+        bound_diffusion,
+        BoundInputs(n=(16, 81, 256), delta=0.5, kl_terms=(0.04, 0.09, 0.0)),
+        (0.5 * math.sqrt(LOG4) + 0.2, math.sqrt(LOG4) / 3 + 0.3, 0.25 * math.sqrt(LOG4)),
+    ),
+    "kde": (  # s = 2: rate 1/3, variance rate 5/12
+        bound_kde,
+        BoundInputs(n=(8, 27, 64), delta=0.5, s=2),
+        tuple(n ** (-1 / 3) * math.sqrt(LOG4) + n ** (-5 / 12) for n in (8, 27, 64)),
+    ),
+    "flow": (  # R = 2: R * sqrt(1 + R^2) = 2 sqrt(5)
+        bound_flow,
+        BoundInputs(n=(16, 81, 256), delta=0.5, R=2.0),
+        tuple(q * 2 * math.sqrt(5.0) * LOG4**0.25 for q in (0.5, 1 / 3, 0.25)),
+    ),
+}
+TABLE_SCHEDULES = {
+    "full_synthetic": (MixtureSchedule.full_synthetic(2), (1.0, 1.0, 1.0)),
+    "balanced": (MixtureSchedule.balanced(2), (1 / 2, 1 / 3, 1.0)),
+    "fixed_ratio": (MixtureSchedule.fixed_ratio(1, 3, 2), (9 / 16, 3 / 4, 1.0)),
+}
+
+
+class TestBoundTableRows:
+    @pytest.mark.parametrize("family", TABLE_FAMILIES)
+    @pytest.mark.parametrize("kind", TABLE_SCHEDULES)
+    def test_rows_match_closed_form(self, family, kind):
+        evaluator, inputs, terms = TABLE_FAMILIES[family]
+        schedule, a = TABLE_SCHEDULES[kind]
+        rows = bound_table_rows(schedule, inputs, family)
+        assert [(r["schedule"], r["i"], r["k"]) for r in rows] == [(kind, 2, k) for k in range(3)]
+        for row, a_k, term in zip(rows, a, terms, strict=True):
+            assert row["A_k"] == pytest.approx(a_k, rel=1e-12)
+            assert row["bound_term"] == pytest.approx(term, rel=1e-12)
+        total = evaluator(schedule, inputs)
+        assert all(r["total_bound"] == total for r in rows)
+        # the fully synthetic form sums generations 1..i only
+        ks = range(1, 3) if kind == "full_synthetic" else range(3)
+        assert total == math.fsum(rows[k]["A_k"] * rows[k]["bound_term"] for k in ks)
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown bound family"):
+            bound_table_rows(MixtureSchedule.balanced(1), BoundInputs(n=(16, 16)), "gan")
 
 
 class TestClosedFormSchedules:

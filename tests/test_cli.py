@@ -324,6 +324,76 @@ lr = 1e18
         a_col = [float(line.split(",")[3]) for line in lines[1:]]
         assert a_col == pytest.approx([0.75**3, 0.75**2, 0.75, 1.0])
 
+    def test_kde_rate_invalid_kernel_order_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "bad.ini"
+        path.write_text(MINIMAL_KDE_RATE + "\n[kde]\nkernel = gaussian\norder = 4\n")
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "config", "errors": ["kde: gaussian kernel has order 2"]}
+        assert not (out / "results.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, flags, section",
+        [
+            ("full_synthetic", [], ""),
+            ("balanced", [], ""),
+            ("fixed_ratio", ["--n-real", "100", "--m-synth", "300"], "n_real = 100\nm_synth = 300"),
+            ("real_each_gen", ["--alpha", "0.25"], "alpha = 0.25"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "family, option, key, value",
+        [
+            ("diffusion", "--kl", "kl", "0.01,0.04,0.0,0.25"),
+            ("kde", "--s", "s", "3"),
+            ("flow", "--r-cap", "r_cap", "1.5"),
+        ],
+    )
+    def test_bounds_subcommand_matches_bounds_report(
+        self, tmp_path, kind, flags, section, family, option, key, value
+    ):
+        cli_out, cfg_out = tmp_path / "cli", tmp_path / "cfg"
+        code = main(
+            ["bounds", "--schedule", kind, "--i", "3", "--n", "777", "--d", "2",
+             "--delta", "0.2", "--family", family, option, value, *flags,
+             "--out", str(cli_out)]
+        )
+        assert code == EXIT_OK
+        text = f"""
+[run]
+scenario = bounds_report
+out_dir = {cfg_out}
+base_seed = 1
+
+[schedule]
+kind = {kind}
+max_generation = 3
+{section}
+
+[bounds]
+family = {family}
+n = constant:777
+d = 2
+delta = 0.2
+{key} = {value}
+"""
+        assert run_scenario(parse_config(text)) == EXIT_OK
+        expect = (cfg_out / "bounds.csv").read_bytes()
+        assert (cli_out / "bounds.csv").read_bytes() == expect
+        assert len(expect.splitlines()) == 1 + 4
+
+    def test_bounds_subcommand_rejects_short_count_list(self, tmp_path, capsys):
+        code = main(
+            ["bounds", "--schedule", "balanced", "--i", "3", "--n", "100,200",
+             "--kl", "0,0", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "config", "errors": ["need 4 sample counts, got 2"]}
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_selftest_passes(self):
         assert main(["selftest"]) == EXIT_OK
 
