@@ -2,7 +2,8 @@
 
 Configs are flat INI sections (syntax in the README). Parsing is strict:
 unknown sections or keys are fatal, and every problem found is reported, not
-just the first. Exit codes: 0 success, 2 config error, 3 runtime failure.
+just the first, before any output is written. Exit codes: 0 success, 2 config
+error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__, bounds, kernels, loop, mixing
-from .distributions import Gauss1D, Gauss2D, GaussMixture1D, TargetDensity, kl_gauss1d
-from .divergences import tv_quadrature
+from .distributions import Gauss1D, Gauss2D, GaussMixture1D, TargetDensity
 from .kernels import KernelSpec
 from .loop import (
     BalancedSizes,
@@ -84,7 +84,7 @@ class ConfigError(ValueError):
     """Carries every validation problem found in a config document."""
 
     def __init__(self, errors):
-        self.errors = list(errors)
+        self.errors = list(dict.fromkeys(errors))  # each distinct problem once
         super().__init__("; ".join(self.errors))
 
 
@@ -134,7 +134,7 @@ def _p_enum(*choices):
 
 
 def _p_int_list(text):
-    vals = [int(v.strip()) for v in text.split(",") if v.strip()]
+    vals = [_p_pos_int(v.strip()) for v in text.split(",") if v.strip()]
     if not vals:
         raise ValueError("empty list")
     return tuple(vals)
@@ -282,7 +282,7 @@ class ExperimentConfig:
     out_dir: Path
     base_seed: int
     replicates: int
-    values: dict  # parsed per-section key values
+    values: dict  # parsed per-section key values and the built run plan
     echo: dict  # canonical resolved strings, for the manifest
 
     def manifest_text(self, comments: tuple[str, ...] = ()) -> str:
@@ -308,7 +308,8 @@ def _read_sections(text: str, errors: list[str]) -> dict[str, dict[str, str]]:
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Validate a config document, reporting every error it contains.
+    """Validate a config document and build its run plan, reporting every
+    error it contains; ``run_scenario`` then only runs the plan.
 
     ``overrides`` maps [run] keys (base_seed, replicates, out_dir) to
     replacement string values before validation, which is how the CLI flags
@@ -459,6 +460,8 @@ def _schedule_section(v: dict, errors: list[str]) -> MixtureSchedule | None:
 
 
 def _validate_semantics(scenario: str, values: dict, errors: list[str]) -> None:
+    """Build every object the scenario runs, adding each constructor's
+    ValueError to ``errors``; a step runs only when its inputs were built."""
     if "target" in values:
         target = _build_target(values["target"], errors)
         values["target_obj"] = target
@@ -478,34 +481,94 @@ def _validate_semantics(scenario: str, values: dict, errors: list[str]) -> None:
             values["kernel_obj"] = KernelSpec(kv["kernel"], kv.get("order", default_order))
         except ValueError as exc:
             errors.append(f"kde: {exc}")
-    if scenario in LOOP_SCENARIOS or scenario == "fixed_ratio_sweep":
-        gen_kind = values.get("loop", {}).get("generator")
+    if "loop" in values:
+        gen_kind = values["loop"]["generator"]
         if scenario == "diffusion_1d" and gen_kind != "diffusion":
             errors.append("loop.generator: diffusion_1d requires the diffusion generator")
-        if gen_kind == "kde" and "kernel_obj" in values:
-            values["generator_obj"] = KdeGenerator(kernel=values["kernel_obj"])
-        elif gen_kind == "diffusion":
-            dv = values.get("diffusion", {})
-            try:
+        try:
+            if gen_kind == "kde" and "kernel_obj" in values:
+                values["generator_obj"] = KdeGenerator(kernel=values["kernel_obj"])
+            elif gen_kind == "diffusion":
+                dv = values["diffusion"]
                 values["generator_obj"] = DiffusionGenerator(
                     cfg=diffusion_mod.DiffusionConfig(
-                        horizon=dv.get("horizon", 3.0),
-                        reverse_steps=dv.get("reverse_steps", 500),
-                        embed_dim=dv.get("embed_dim", 8),
+                        horizon=dv["horizon"],
+                        reverse_steps=dv["reverse_steps"],
+                        embed_dim=dv["embed_dim"],
                     ),
-                    width_factor=dv.get("width_factor", 1.0),
-                    tau_factor=dv.get("tau_factor", 1.0),
+                    width_factor=dv["width_factor"],
+                    tau_factor=dv["tau_factor"],
                     lr=dv.get("lr"),
                 )
-            except ValueError as exc:
-                errors.append(f"diffusion: {exc}")
+        except ValueError as exc:
+            errors.append(f"{gen_kind}: {exc}")
+        if values["target_obj"] is not None and "generator_obj" in values:
+            values["loops"] = _loop_plan(scenario, values, errors)
     if scenario == "bounds_report":
-        bv = values.get("bounds", {})
-        family = bv.get("family", "diffusion")
-        if family == "kde" and bv.get("s") is None:
+        bv, schedule = values["bounds"], values["schedule_obj"]
+        if bv["family"] == "kde" and bv.get("s") is None:
             errors.append("bounds.s: required for the kde family")
-        if family == "flow" and bv.get("r_cap") is None:
+        if bv["family"] == "flow" and bv.get("r_cap") is None:
             errors.append("bounds.r_cap: required for the flow family")
+        if schedule is not None:
+            i = bv.get("i", schedule.max_generation)
+            if i > schedule.max_generation:
+                errors.append(f"bounds.i: {i} exceeds schedule.max_generation")
+            else:
+                try:
+                    values["bound_inputs"] = _bound_inputs(
+                        bv["n"], i, bv["d"], bv["delta"], bv["kl"], bv.get("s"), bv.get("r_cap")
+                    )
+                except ValueError as exc:
+                    errors.append(f"bounds: {exc}")
+
+
+def _loop_plan(scenario: str, values: dict, errors: list[str]) -> list:
+    """(label, LoopConfig) pairs to run. A sweep labels each lambda's rows in
+    both CSVs; a single loop's label is None, which keeps the scenario in
+    results.csv and the schedule kind in bounds.csv."""
+    lv, sw = values["loop"], values.get("sweep")
+    runs = []  # (label, schedule, size rule)
+    if sw is None and values["schedule_obj"] is not None:
+        runs.append((None, values["schedule_obj"], lv["sample_sizes"]))
+    for lam in sw["lambdas"] if sw else ():
+        m = int(round(lam * sw["n_real"]))
+        try:
+            schedule = MixtureSchedule.fixed_ratio(sw["n_real"], m, sw["max_generation"])
+        except ValueError as exc:
+            errors.append(f"sweep.lambdas: lambda={lam:g}: {exc}")
+            continue
+        runs.append((f"{scenario}:lambda={lam:g}", schedule, ConstantSizes(sw["n_real"] + m)))
+    plan = []
+    for label, schedule, sizes in runs:
+        try:
+            plan.append((label, LoopConfig(
+                generator=values["generator_obj"],
+                schedule=schedule,
+                p0=values["target_obj"],
+                sample_sizes=sizes,
+                max_generation=schedule.max_generation,
+                replicates=values["run"]["replicates"],
+                base_seed=values["run"]["base_seed"],
+                delta=lv["delta"],
+                eval_nodes=lv["eval_nodes"],
+                eval_samples=lv["eval_samples"],
+            )))
+        except ValueError as exc:
+            errors.append(f"loop: {exc}")
+    return plan
+
+
+def _bound_inputs(n, i, d, delta, kl, s=None, r_cap=None) -> bounds.BoundInputs:
+    """Bound inputs at generation ``i``, for [bounds] configs and ``sclab bounds``.
+
+    ``n`` is a size rule; ``kl`` holds one prior-mismatch term per generation
+    or a single term for all of them.
+    """
+    kl_terms = kl * (i + 1) if len(kl) == 1 else kl
+    return bounds.BoundInputs(
+        n=n.resolve(i + 1, d), d=d, delta=delta, kl_terms=kl_terms, s=s, R=r_cap
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -544,39 +607,20 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: Path, started: float) -> Non
 # scenario runners
 
 
-def _loop_config(cfg: ExperimentConfig, schedule: MixtureSchedule, scenario_sizes=None):
-    lv = cfg.values["loop"]
-    return LoopConfig(
-        generator=cfg.values["generator_obj"],
-        schedule=schedule,
-        p0=cfg.values["target_obj"],
-        sample_sizes=scenario_sizes or lv["sample_sizes"],
-        max_generation=schedule.max_generation,
-        replicates=cfg.replicates,
-        base_seed=cfg.base_seed,
-        delta=lv["delta"],
-        eval_nodes=lv["eval_nodes"],
-        eval_samples=lv["eval_samples"],
-    )
-
-
-def _loop_bound_rows(lcfg: LoopConfig) -> list[dict]:
-    """bounds.csv rows of a loop run: the generator's family at generation
-    max_generation - 1, with no prior-mismatch terms."""
-    i = max(0, lcfg.max_generation - 1)
-    gen = lcfg.generator
-    inputs = gen.bound_inputs(lcfg.resolved_sizes()[: i + 1], lcfg.p0.dim, lcfg.delta)
-    return bounds.bound_table_rows(lcfg.schedule, inputs, gen.family)
-
-
-def _run_loop_scenario(cfg: ExperimentConfig, out_dir: Path) -> None:
-    lcfg = _loop_config(cfg, cfg.values["schedule_obj"])
-    traces, _ = loop.run_replicates(lcfg)
-    rows = []
-    for trace in traces:
-        rows.extend(loop.trace_rows(trace, cfg.scenario))
+def _run_loops(cfg: ExperimentConfig, out_dir: Path) -> None:
+    rows, bound_rows = [], []
+    for label, lcfg in cfg.values["loops"]:
+        traces, _ = loop.run_replicates(lcfg)
+        for trace in traces:
+            rows.extend(loop.trace_rows(trace, label or cfg.scenario))
+        # bounds.csv: the generator's family at generation max_generation - 1,
+        # with no prior-mismatch terms
+        gen, i = lcfg.generator, max(0, lcfg.max_generation - 1)
+        inputs = gen.bound_inputs(lcfg.resolved_sizes()[: i + 1], lcfg.p0.dim, lcfg.delta)
+        for row in bounds.bound_table_rows(lcfg.schedule, inputs, gen.family):
+            bound_rows.append({**row, "schedule": label or row["schedule"]})
     write_csv_atomic(out_dir / "results.csv", RESULT_COLUMNS, rows)
-    write_csv_atomic(out_dir / "bounds.csv", BOUND_COLUMNS, _loop_bound_rows(lcfg))
+    write_csv_atomic(out_dir / "bounds.csv", BOUND_COLUMNS, bound_rows)
 
 
 def _run_kde_rate(cfg: ExperimentConfig, out_dir: Path) -> None:
@@ -616,51 +660,10 @@ def _run_kde_rate(cfg: ExperimentConfig, out_dir: Path) -> None:
     write_csv_atomic(out_dir / "results.csv", RESULT_COLUMNS, rows)
 
 
-def _run_fixed_ratio_sweep(cfg: ExperimentConfig, out_dir: Path) -> None:
-    sw = cfg.values["sweep"]
-    n_real = sw["n_real"]
-    rows = []
-    bound_rows = []
-    for lam in sw["lambdas"]:
-        m = int(round(lam * n_real))
-        schedule = MixtureSchedule.fixed_ratio(n_real, m, sw["max_generation"])
-        label = f"{cfg.scenario}:lambda={lam:g}"
-        lcfg = _loop_config(cfg, schedule, scenario_sizes=ConstantSizes(n_real + m))
-        traces, _ = loop.run_replicates(lcfg)
-        for trace in traces:
-            rows.extend(loop.trace_rows(trace, label))
-        for row in _loop_bound_rows(lcfg):
-            bound_rows.append({**row, "schedule": label})
-    write_csv_atomic(out_dir / "results.csv", RESULT_COLUMNS, rows)
-    write_csv_atomic(out_dir / "bounds.csv", BOUND_COLUMNS, bound_rows)
-
-
-def _bound_rows(schedule, family, i, n, d, delta, kl, s=None, r_cap=None) -> list[dict]:
-    """bounds.csv rows at generation ``i``, for [bounds] configs and ``sclab bounds``.
-
-    ``n`` is a size rule; ``kl`` holds one prior-mismatch term per generation
-    or a single term for all of them.
-    """
-    kl_terms = kl * (i + 1) if len(kl) == 1 else kl
-    inputs = bounds.BoundInputs(
-        n=n.resolve(i + 1, d), d=d, delta=delta, kl_terms=kl_terms, s=s, R=r_cap
-    )
-    return bounds.bound_table_rows(schedule, inputs, family)
-
-
 def _run_bounds_report(cfg: ExperimentConfig, out_dir: Path) -> None:
-    schedule = cfg.values["schedule_obj"]
-    bv = cfg.values["bounds"]
-    i = bv.get("i", schedule.max_generation)
-    if i > schedule.max_generation:
-        raise ConfigError([f"bounds.i: {i} exceeds schedule.max_generation"])
-    try:
-        rows = _bound_rows(
-            schedule, bv["family"], i, bv["n"], bv["d"], bv["delta"], bv["kl"],
-            s=bv.get("s"), r_cap=bv.get("r_cap"),
-        )
-    except ValueError as exc:
-        raise ConfigError([f"bounds: {exc}"]) from exc
+    rows = bounds.bound_table_rows(
+        cfg.values["schedule_obj"], cfg.values["bound_inputs"], cfg.values["bounds"]["family"]
+    )
     write_csv_atomic(out_dir / "bounds.csv", BOUND_COLUMNS, rows)
 
 
@@ -682,122 +685,21 @@ def _run_phase_transition(cfg: ExperimentConfig, out_dir: Path) -> None:
     write_csv_atomic(out_dir / "phase.csv", PHASE_COLUMNS, rows)
 
 
+_RUNNERS = {
+    **dict.fromkeys((*LOOP_SCENARIOS, "fixed_ratio_sweep"), _run_loops),
+    "kde_rate": _run_kde_rate,
+    "bounds_report": _run_bounds_report,
+    "phase_transition": _run_phase_transition,
+}
+
+
 def run_scenario(cfg: ExperimentConfig) -> int:
-    """Run the configured scenario; writes output files plus a manifest."""
+    """Run a parsed config's plan; writes output files plus a manifest."""
     started = time.time()
-    out_dir = cfg.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.scenario in LOOP_SCENARIOS:
-        _run_loop_scenario(cfg, out_dir)
-    elif cfg.scenario == "kde_rate":
-        _run_kde_rate(cfg, out_dir)
-    elif cfg.scenario == "fixed_ratio_sweep":
-        _run_fixed_ratio_sweep(cfg, out_dir)
-    elif cfg.scenario == "bounds_report":
-        _run_bounds_report(cfg, out_dir)
-    elif cfg.scenario == "phase_transition":
-        _run_phase_transition(cfg, out_dir)
-    else:  # pragma: no cover - scenario enum is validated at parse time
-        raise ConfigError([f"run.scenario: unhandled scenario {cfg.scenario}"])
-    _write_manifest(cfg, out_dir, started)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    _RUNNERS[cfg.scenario](cfg, cfg.out_dir)
+    _write_manifest(cfg, cfg.out_dir, started)
     return EXIT_OK
-
-
-# ----------------------------------------------------------------------------
-# selftest: quick oracle suites
-
-
-def _selftest_checks():
-    rng = np.random.default_rng(17)
-
-    def random_general(i):
-        rows = []
-        for g in range(1, i + 1):
-            w = rng.dirichlet(np.ones(g + 1))
-            rows.append((float(w[0]), tuple(float(x) for x in w[1:])))
-        return MixtureSchedule.general(rows)
-
-    def coefficient_oracle():
-        for schedule in (
-            MixtureSchedule.full_synthetic(8),
-            MixtureSchedule.balanced(8),
-            MixtureSchedule.fixed_ratio(100, 300, 8),
-            *(random_general(6) for _ in range(50)),
-        ):
-            i = min(8, schedule.max_generation)
-            a = bounds.coefficients(schedule, i).values
-            b = bounds.coefficients_bruteforce(schedule, i).values
-            if any(abs(x - y) > 1e-12 for x, y in zip(a, b)):
-                return False
-        return True
-
-    def balanced_gamma():
-        # the printed closed form matches the recursion only through i = 2;
-        # beyond that, check it against direct factorial arithmetic
-        for i in (1, 2):
-            a = bounds.coefficients(MixtureSchedule.balanced(i), i).values
-            g = bounds.balanced_coefficients_gamma(i)
-            if any(abs(x - y) > 1e-12 for x, y in zip(a, g)):
-                return False
-        for i in range(3, 11):
-            g = bounds.balanced_coefficients_gamma(i)
-            ref = [
-                sum(math.factorial(j + 1) for j in range(k, i)) / math.factorial(i + 1)
-                for k in range(i)
-            ] + [1.0]
-            if any(abs(x - y) > 1e-12 for x, y in zip(g, ref)):
-                return False
-        return True
-
-    def kernel_orders():
-        specs = (
-            KernelSpec.gaussian(),
-            KernelSpec.epanechnikov(),
-            KernelSpec.higher_order_gaussian(4),
-            KernelSpec.higher_order_gaussian(6),
-        )
-        return all(kernels.verify_kernel_order(k).passed for k in specs)
-
-    def phase_curve():
-        ok = abs(bounds.f_lambda(0.0, 3) - 1.0) < 1e-15
-        ok &= abs(bounds.f_lambda(1.0, 2) - 7.0 / 2**2.25) < 1e-10
-        stars = [bounds.lambda_star(i) for i in range(1, 7)]
-        ok &= all(b > a for a, b in zip(stars, stars[1:]))
-        return ok
-
-    def pinsker_spot():
-        for _ in range(20):
-            a = Gauss1D(float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 2.0)))
-            b = Gauss1D(float(rng.uniform(-2, 2)), float(rng.uniform(0.5, 2.0)))
-            lo = min(a.support_hint[0][0], b.support_hint[0][0])
-            hi = max(a.support_hint[0][1], b.support_hint[0][1])
-            tv = tv_quadrature(a.pdf, b.pdf, ((lo, hi),), nodes=2048)
-            if tv.value > math.sqrt(kl_gauss1d(a, b) / 2.0) + tv.tolerance + 1e-9:
-                return False
-        return True
-
-    return (
-        ("coefficient recursion vs path expansion", coefficient_oracle),
-        ("uniform-mixture gamma closed form", balanced_gamma),
-        ("kernel moment conditions", kernel_orders),
-        ("phase-transition curve and peak", phase_curve),
-        ("pinsker inequality spot check", pinsker_spot),
-    )
-
-
-def selftest() -> int:
-    failed = 0
-    for name, check in _selftest_checks():
-        try:
-            ok = check()
-        except Exception as exc:  # noqa: BLE001 - report and continue
-            ok = False
-            print(f"FAIL {name}: {exc}")
-            failed += 1
-            continue
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        failed += 0 if ok else 1
-    return EXIT_OK if failed == 0 else EXIT_RUNTIME
 
 
 # ----------------------------------------------------------------------------
@@ -831,9 +733,6 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     try:
         return run_scenario(cfg)
-    except ConfigError as exc:
-        print(_error_record("config", errors=exc.errors), file=sys.stderr)
-        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit nonzero
         print(
             _error_record("runtime", type=type(exc).__name__, message=str(exc),
@@ -850,10 +749,10 @@ def _cmd_bounds(args) -> int:
         )
         counts = _p_int_list(args.n)
         n = ConstantSizes(counts[0]) if len(counts) == 1 else ExplicitSizes(counts)
-        rows = _bound_rows(
-            schedule, args.family, args.i, n, args.d, args.delta, _p_float_list(args.kl),
-            s=args.s, r_cap=args.r_cap,
+        inputs = _bound_inputs(
+            n, args.i, args.d, args.delta, _p_float_list(args.kl), args.s, args.r_cap
         )
+        rows = bounds.bound_table_rows(schedule, inputs, args.family)
     except ValueError as exc:
         print(_error_record("config", errors=[str(exc)]), file=sys.stderr)
         return EXIT_CONFIG
@@ -896,9 +795,6 @@ def main(argv=None) -> int:
     p_bounds.add_argument("--alpha", type=float)
     p_bounds.add_argument("--out", default=".")
     p_bounds.set_defaults(func=_cmd_bounds)
-
-    p_self = sub.add_parser("selftest", help="run the built-in oracle suites")
-    p_self.set_defaults(func=lambda args: selftest())
 
     args = parser.parse_args(argv)
     return args.func(args)

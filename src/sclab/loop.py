@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, diffusion, kernels
 from .distributions import TargetDensity
-from .divergences import TVEstimate, tv_histogram, tv_quadrature
+from .divergences import MIN_NODES, TVEstimate, tv_histogram, tv_quadrature
 from .kernels import KdeModel, KernelSpec
 from .mixing import MixtureSchedule, sample_mixture
 
@@ -37,6 +37,13 @@ class KdeGenerator:
 
     kernel: KernelSpec
     family: ClassVar[str] = "kde"
+
+    def __post_init__(self):
+        # each later generation draws from the fitted estimates
+        if not self.kernel.nonneg:
+            raise kernels.SignedKernelError(
+                "the loop cannot draw from a signed (higher-order) kernel estimate"
+            )
 
     def fit(self, data, seed_row) -> tuple[KdeModel, dict, None]:
         model = kernels.fit(data, self.kernel)
@@ -186,6 +193,8 @@ class LoopConfig:
             raise ValueError("max_generation must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.eval_nodes < MIN_NODES:
+            raise ValueError(f"eval_nodes must be >= {MIN_NODES}")
         if self.schedule.max_generation < self.max_generation - 1:
             raise ValueError(
                 "schedule must define rows up to max_generation - 1"

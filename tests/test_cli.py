@@ -57,6 +57,48 @@ kernel = gaussian
 """
 
 
+SWEEP_CONFIG = """
+[run]
+scenario = fixed_ratio_sweep
+base_seed = 5
+
+[target]
+kind = gauss1d
+
+[loop]
+generator = kde
+sample_sizes = constant:64
+
+[sweep]
+n_real = 64
+lambdas = 0.5, -2
+max_generation = 2
+"""
+
+BOUNDS_CONFIG = """
+[run]
+scenario = bounds_report
+base_seed = 1
+
+[schedule]
+kind = balanced
+max_generation = 2
+
+[bounds]
+n = {n}
+i = {i}
+"""
+
+PHASE_CONFIG = """
+[run]
+scenario = phase_transition
+base_seed = 1
+
+[phase]
+i_values = 2, 0
+"""
+
+
 class TestParseConfig:
     def test_minimal_config_gets_defaults(self):
         cfg = parse_config(MINIMAL_KDE_RATE)
@@ -335,6 +377,39 @@ lr = 1e18
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            (LOOP_CONFIG.replace("constant:256", "list:100,200"),
+             "loop: need 3 sample counts, got 2"),
+            (SWEEP_CONFIG,
+             "sweep.lambdas: lambda=-2: fixed_ratio counts must be nonnegative, not both zero"),
+            (LOOP_CONFIG.replace("constant:256", "constant:256\neval_nodes = 129"),
+             "loop: eval_nodes must be >= 1024"),
+            # every lambda's loop refuses the same value; it is reported once
+            (SWEEP_CONFIG.replace("-2", "2").replace("64\n\n", "64\neval_nodes = 129\n\n"),
+             "loop: eval_nodes must be >= 1024"),
+            (BOUNDS_CONFIG.format(n="constant:100", i=5),
+             "bounds.i: 5 exceeds schedule.max_generation"),
+            (BOUNDS_CONFIG.format(n="list:100,200", i=2), "bounds: need 3 sample counts, got 2"),
+            (MINIMAL_KDE_RATE.replace("128,256", "128, 0"),
+             "kde_rate.sizes: 0 is not a positive count"),
+            (PHASE_CONFIG, "phase.i_values: 0 is not a positive count"),
+            (LOOP_CONFIG.replace("kernel = gaussian", "kernel = higher_order_gaussian"),
+             "kde: the loop cannot draw from a signed (higher-order) kernel estimate"),
+        ],
+        ids=["list_length", "negative_lambda", "eval_nodes", "sweep_eval_nodes", "bounds_i",
+             "bounds_n", "kde_rate_size", "phase_i", "signed_kernel"],
+    )
+    def test_config_error_exits_before_out_dir(self, tmp_path, capsys, text, message):
+        out = tmp_path / "out"
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace("{out}", str(out)))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "config", "errors": [message]}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "kind, flags, section",
         [
             ("full_synthetic", [], ""),
@@ -393,9 +468,6 @@ delta = 0.2
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "config", "errors": ["need 4 sample counts, got 2"]}
         assert not (tmp_path / "bounds.csv").exists()
-
-    def test_selftest_passes(self):
-        assert main(["selftest"]) == EXIT_OK
 
     def test_entry_point_installed(self, tmp_path):
         proc = subprocess.run(
