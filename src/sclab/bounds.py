@@ -4,7 +4,7 @@ Covers the coefficient recursion that folds per-generation estimation errors
 into a final total-variation bound, an independent path-expansion oracle for
 that recursion, bound evaluators for the diffusion / kernel-estimate / flow
 generator families, sample-size schedules, and the synthetic-data
-phase-transition curve with its numerically located peak.
+phase-transition curve with its peak as the root of its first-order condition.
 
 Every evaluator fixes the hidden proportionality constants to 1: outputs are
 comparable across configurations ("up to constant"), never absolutely
@@ -17,11 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .mixing import MixtureSchedule
 
 _ORACLE_LIMIT = 12  # path expansion is exponential in the generation count
+_BRENT_RTOL = 4 * np.finfo(float).eps  # the smallest relative tolerance brentq accepts
 
 # generator families with a bound evaluator: bound_diffusion, bound_kde, bound_flow
 FAMILIES = ("diffusion", "kde", "flow")
@@ -264,56 +266,32 @@ def f_lambda_direct(lam: float, i: int) -> float:
     return ((1.0 + lam) ** (i + 1) - lam ** (i + 1)) / (1.0 + lam) ** (i + 0.25)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def lambda_star(i: int) -> float:
+    """Peak of the phase-transition curve: the root of its first-order condition.
 
+    With u = lam/(1+lam), f(lam, i) = (1-u)**(1/4) * S(u), where
+    S(u) = sum_{j=0}^{i} u**j. So d log f/du has the sign of
+    h(u) = 3*S(u) - 4*(i+1)*u**i. Here h(0) = 3 > 0, h(1) = -(i+1) < 0 and
+    h(u)/u**i is strictly decreasing, so the peak is the only root of h.
+    Divided by 3*u**i, the root solves sum_{k=0}^{i} (1 + 1/lam)**k = 4(i+1)/3.
+    Bernoulli's (1+x)**k >= 1 + k*x puts it at lam >= 3i/2, and
+    (1+x)**k <= exp(k*x) at lam <= i/log(4/3) < 4i, so [i, 4i] brackets it
+    with a margin on both sides.
 
-def _golden_section_max(f, a: float, b: float, tol: float) -> float:
-    """Locate the maximizer of a unimodal ``f`` on [a, b] to within ``tol``."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-    return 0.5 * (a + b)
-
-
-def lambda_star(
-    i: int, upper: float = 1e6, tol: float = 1e-8, bracket_samples: int = 2048
-) -> float:
-    """Peak of the phase-transition curve, found by bracketing plus golden section.
-
-    The curve is sampled on a dense grid over [0, upper] to verify a single
-    rise-then-fall shape before refining; a peak on the boundary or a
-    non-unimodal sample pattern raises.
+    h is solved in v = 1/(1+lam) = 1-u, with u**k = exp(k*log1p(-v)) and
+    S(u) = (1 - u**(i+1))/v, which keeps full relative precision as v -> 0
+    at large i.
     """
     if i < 1:
         raise ValueError("generation must be >= 1")
-    grid = np.concatenate(
-        [
-            np.linspace(0.0, 1.0, bracket_samples // 2, endpoint=False),
-            np.geomspace(1.0, upper, bracket_samples // 2),
-        ]
-    )
-    vals = np.array([f_lambda(g, i) for g in grid])
-    k = int(np.argmax(vals))
-    if k == 0 or k == len(grid) - 1:
-        raise RuntimeError(f"failed to bracket the peak inside (0, {upper}]")
-    rising = np.diff(vals[: k + 1])
-    falling = np.diff(vals[k:])
-    if np.any(rising < 0) or np.any(falling > 0):
-        raise RuntimeError("sampled curve is not unimodal on the bracket")
-    return float(
-        _golden_section_max(
-            lambda lam: f_lambda(lam, i), float(grid[k - 1]), float(grid[k + 1]), tol
-        )
-    )
+
+    def h(v: float) -> float:
+        log_u = math.log1p(-v)
+        return -3.0 * math.expm1((i + 1) * log_u) / v - 4.0 * (i + 1) * math.exp(i * log_u)
+
+    lo = 1.0 / (1.0 + 4.0 * i)
+    v = brentq(h, lo, 1.0 / (1.0 + i), xtol=lo * _BRENT_RTOL, rtol=_BRENT_RTOL)
+    return (1.0 - v) / v
 
 
 def _ceil_snap(x: float, rtol: float = 1e-9) -> int:

@@ -153,7 +153,7 @@ def _p_components(text):
         parts = chunk.strip().split(":")
         if len(parts) != 3:
             raise ValueError(f"component {chunk.strip()!r} is not weight:mean:std")
-        comps.append(tuple(float(p) for p in parts))
+        comps.append(tuple(_p_float(p) for p in parts))
     return tuple(comps)
 
 
@@ -184,7 +184,7 @@ _RUN_KEYS = {
 
 _TARGET_KEYS = {
     "kind": (True, _p_enum("gauss1d", "gauss_mixture1d", "gauss2d"), None),
-    "mean": (False, str, None),
+    "mean": (False, _p_float_list, None),
     "std": (False, _p_pos_float, None),
     "components": (False, _p_components, None),
     "var": (False, _p_float_list, None),
@@ -386,17 +386,17 @@ def _build_target(v: dict, errors: list[str]) -> TargetDensity | None:
     kind = v.get("kind")
     try:
         if kind == "gauss1d":
-            mean = float(v.get("mean", "0.0") or 0.0)
-            return Gauss1D(mean=mean, std=v.get("std", 1.0) or 1.0)
+            mean = v.get("mean", (0.0,))
+            if len(mean) != 1:
+                raise ValueError("gauss1d mean must be one number")
+            return Gauss1D(mean=mean[0], std=v.get("std", 1.0))
         if kind == "gauss_mixture1d":
             if "components" not in v:
                 errors.append("target.components: missing required key for mixtures")
                 return None
             return GaussMixture1D(components=v["components"])
         if kind == "gauss2d":
-            mean = _p_float_list(v.get("mean", "0,0") if isinstance(v.get("mean"), str) else "0,0")
-            var = v.get("var", (1.0, 1.0))
-            return Gauss2D(mean=tuple(mean), var=tuple(var))
+            return Gauss2D(mean=v.get("mean", (0.0, 0.0)), var=v.get("var", (1.0, 1.0)))
     except ValueError as exc:
         errors.append(f"target: {exc}")
     return None

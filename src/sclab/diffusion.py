@@ -192,11 +192,6 @@ def dsm_loss(
     return float(((pred - target) ** 2).sum(axis=1).mean())
 
 
-def _loss_of(out_weights: np.ndarray, phi: np.ndarray, target: np.ndarray, m: int) -> float:
-    pred = np.einsum("nm,dm->nd", phi, out_weights) / m
-    return float(((pred - target) ** 2).sum(axis=1).mean())
-
-
 def hessian_top_eigenvalue(
     phi: np.ndarray, m: int, iters: int = 50, seed: int = 0
 ) -> float:
@@ -266,14 +261,15 @@ def train(
         raise ValueError("lr must be positive")
 
     a = net.out_weights.copy()
-    losses = [_loss_of(a, phi, target, m)]
+    # one design product per step: its residual gives this loss and the next gradient
+    resid = np.einsum("nm,dm->nd", phi, a) / m - target
+    losses = [float((resid**2).sum(axis=1).mean())]
     initial = losses[0]
     bad_streak = 0
     for step in range(tau_steps):
-        pred = np.einsum("nm,dm->nd", phi, a) / m
-        grad = np.einsum("nd,nm->dm", pred - target, phi) * (2.0 / (n * m))
-        a -= lr * grad
-        loss = _loss_of(a, phi, target, m)
+        a -= lr * (np.einsum("nd,nm->dm", resid, phi) * (2.0 / (n * m)))
+        resid = np.einsum("nm,dm->nd", phi, a) / m - target
+        loss = float((resid**2).sum(axis=1).mean())
         losses.append(loss)
         if not math.isfinite(loss) or loss > 10.0 * initial:
             bad_streak += 1

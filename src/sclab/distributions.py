@@ -106,8 +106,10 @@ class Gauss1D(TargetDensity):
     std: float = 1.0
 
     def __post_init__(self):
-        if not self.std > 0:
-            raise ValueError("std must be positive")
+        if not math.isfinite(self.mean):
+            raise ValueError("mean must be finite")
+        if not 0 < self.std < math.inf:
+            raise ValueError("std must be positive and finite")
 
     dim = 1
 
@@ -134,11 +136,13 @@ class GaussMixture1D(TargetDensity):
         comps = tuple((float(w), float(m), float(s)) for w, m, s in self.components)
         if not comps:
             raise ValueError("mixture needs at least one component")
-        for w, _, s in comps:
-            if w < 0:
-                raise ValueError("mixture weights must be nonnegative")
-            if not s > 0:
-                raise ValueError("component std must be positive")
+        for w, m, s in comps:
+            if not 0 <= w < math.inf:
+                raise ValueError("mixture weights must be nonnegative and finite")
+            if not math.isfinite(m):
+                raise ValueError("component mean must be finite")
+            if not 0 < s < math.inf:
+                raise ValueError("component std must be positive and finite")
         total = sum(w for w, _, _ in comps)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
@@ -184,8 +188,10 @@ class Gauss2D(TargetDensity):
     def __post_init__(self):
         if len(self.mean) != 2 or len(self.var) != 2:
             raise ValueError("mean and var must each have two entries")
-        if not all(v > 0 for v in self.var):
-            raise ValueError("variances must be positive")
+        if not all(math.isfinite(m) for m in self.mean):
+            raise ValueError("mean entries must be finite")
+        if not all(0 < v < math.inf for v in self.var):
+            raise ValueError("variances must be positive and finite")
         object.__setattr__(self, "mean", tuple(float(m) for m in self.mean))
         object.__setattr__(self, "var", tuple(float(v) for v in self.var))
 

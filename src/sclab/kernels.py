@@ -138,15 +138,6 @@ class KdeModel:
         rng = np.random.default_rng(seed)
         return SampleSet(self.draw(n, rng), seed)
 
-    @property
-    def support_hint(self) -> tuple[tuple[float, float], ...]:
-        pts = self.samples.points
-        r = self.kernel.support_radius() * self.bandwidth
-        return tuple(
-            (float(pts[:, j].min() - r), float(pts[:, j].max() + r))
-            for j in range(self.dim)
-        )
-
 
 def fit(samples: SampleSet, kernel: KernelSpec) -> KdeModel:
     """Fit a kernel estimate with the balancing bandwidth for the kernel's order."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from sclab.bounds import (
     BoundInputs,
@@ -24,7 +25,6 @@ from sclab.bounds import (
     lambda_star,
     required_samples_balanced,
     required_samples_quartic,
-    _golden_section_max,
 )
 from sclab.mixing import MixtureSchedule
 
@@ -366,14 +366,26 @@ class TestPhaseTransition:
             refined = lam[k] + 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2) * 1e-4
             assert star == pytest.approx(refined, abs=1e-6)
 
-    def test_argmax_invariant_under_rescaling(self):
-        i = 4
-        star = lambda_star(i)
-        for scale in (1e-3, 7.0, 1e4):
-            peak = _golden_section_max(
-                lambda lam: scale * f_lambda(lam, i), 0.5 * star, 2.0 * star, 1e-9
-            )
-            assert peak == pytest.approx(star, abs=1e-6)
+    def test_low_generation_peaks_are_closed_form_roots(self):
+        # i = 1: 3(1 + u) = 8u gives u = 3/5; i = 2: 3(1 + u + u^2) = 12u^2
+        assert lambda_star(1) == pytest.approx(1.5, rel=1e-12)
+        u = (1 + math.sqrt(13)) / 6
+        assert lambda_star(2) == pytest.approx(u / (1 - u), rel=1e-12)
+
+    def test_first_order_residual(self):
+        for i in range(1, 51):
+            star = lambda_star(i)
+            u = star / (1 + star)
+            s = math.fsum(u**j for j in range(i + 1))
+            edge = 4 * (i + 1) * u**i
+            assert abs(3 * s - edge) <= 1e-12 * edge
+
+    @pytest.mark.parametrize("i", [600_000, 10**9])
+    def test_large_generation_limit(self, i):
+        # with lam = (i+1)/x, the condition tends to 4x = 3(e^x - 1)
+        x = brentq(lambda x: 4 * x - 3 * math.expm1(x), 0.1, 2.0, xtol=1e-15)
+        assert 1 / x == pytest.approx(1.8175184515, abs=1e-10)
+        assert lambda_star(i) / (i + 1) == pytest.approx(1 / x, rel=1e-5)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,8 @@ base_seed = 1
 i_values = 2, 0
 """
 
+MIXTURE = "gauss_mixture1d\ncomponents = {}, 0.5:2:1"
+
 
 class TestParseConfig:
     def test_minimal_config_gets_defaults(self):
@@ -240,6 +242,18 @@ lambda_steps = 17
             if float(lam) == 0.0:
                 assert float(f_value) == 1.0
         assert stars[1] < stars[2] < stars[3]
+
+    def test_phase_transition_large_generation(self, tmp_path):
+        out = tmp_path / "out"
+        path = tmp_path / "phase.ini"
+        path.write_text(PHASE_CONFIG.replace("2, 0", "3, 600000"))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        stars = {}
+        for line in (out / "phase.csv").read_text().splitlines()[1:]:
+            i, _, _, star = line.split(",")
+            stars[int(i)] = float(star)
+        assert set(stars) == {3, 600000}
+        assert all(math.isfinite(s) for s in stars.values())
 
     def test_fixed_ratio_sweep_labels(self, tmp_path):
         text = f"""
@@ -396,9 +410,17 @@ lr = 1e18
             (PHASE_CONFIG, "phase.i_values: 0 is not a positive count"),
             (LOOP_CONFIG.replace("kernel = gaussian", "kernel = higher_order_gaussian"),
              "kde: the loop cannot draw from a signed (higher-order) kernel estimate"),
+            (LOOP_CONFIG.replace("mean = 0.0", "mean = nan"),
+             "target.mean: 'nan' is not a finite number"),
+            (LOOP_CONFIG.replace("mean = 0.0", "mean ="), "target.mean: empty list"),
+            (LOOP_CONFIG.replace("gauss1d\nmean = 0.0\nstd = 1.0", MIXTURE.format("nan:0:1")),
+             "target.components: 'nan' is not a finite number"),
+            (LOOP_CONFIG.replace("gauss1d\nmean = 0.0\nstd = 1.0", MIXTURE.format("0.5:inf:1")),
+             "target.components: 'inf' is not a finite number"),
         ],
         ids=["list_length", "negative_lambda", "eval_nodes", "sweep_eval_nodes", "bounds_i",
-             "bounds_n", "kde_rate_size", "phase_i", "signed_kernel"],
+             "bounds_n", "kde_rate_size", "phase_i", "signed_kernel", "target_mean_nan",
+             "target_mean_empty", "mixture_weight_nan", "mixture_mean_inf"],
     )
     def test_config_error_exits_before_out_dir(self, tmp_path, capsys, text, message):
         out = tmp_path / "out"

@@ -20,7 +20,7 @@ from sclab.diffusion import (
     reverse_sample,
     train,
 )
-from sclab.distributions import Gauss1D
+from sclab.distributions import Gauss1D, SampleSet
 
 CFG = DiffusionConfig()
 
@@ -212,6 +212,21 @@ class TestTrain:
         assert top > 0
         report = train(net, data, CFG, lr=1.0 / top, tau_steps=40, seed=11)
         assert (np.diff(report.losses) <= 1e-12).all()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_losses_are_losses_of_the_stopped_weights(self, d):
+        # losses[k] is the loss of the weights a budget of k steps leaves
+        data = SampleSet(np.random.default_rng(3).standard_normal((120, d)), 3)
+        report = train(init_scorenet(60, d, 8, 4), data, CFG, tau_steps=5, seed=5)
+        rng = np.random.default_rng(5)
+        t = rng.uniform(CFG.t_min, CFG.horizon, size=data.n)
+        xt, target = diffusion._ou_forward(data.points, t, rng)
+        for k in (0, 1, 5):
+            net = init_scorenet(60, d, 8, 4)
+            train(net, data, CFG, tau_steps=k, seed=5)
+            phi = net.features(xt, t, CFG.horizon)
+            pred = np.einsum("nm,dm->nd", phi, net.out_weights) / net.width
+            assert report.losses[k] == float(((pred - target) ** 2).sum(axis=1).mean())
 
     def test_zero_steps_is_identity(self):
         data = Gauss1D(0, 1).sample(100, 3)

@@ -112,6 +112,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             GaussMixture1D(((1.5, 0, 1), (-0.5, 1, 1)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Gauss1D(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Gauss1D(0.0, abs(bad))
+        with pytest.raises(ValueError, match="finite"):
+            GaussMixture1D(((bad, 0, 1), (0.5, 1, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            GaussMixture1D(((0.5, bad, 1), (0.5, 1, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            GaussMixture1D(((0.5, 0, abs(bad)), (0.5, 1, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            Gauss2D((0.0, bad), (1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            Gauss2D((0.0, 0.0), (abs(bad), 1.0))
+
 
 class TestAnalyticTV:
     def test_identical(self):
