@@ -9,7 +9,9 @@ negative lobes and are retained for error-rate studies only.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +161,18 @@ _CHUNK_CELLS = 4_000_000
 # cap on the scratch array (grid-row tile x sample block), about 256 KB, so
 # the temporaries of one tile stay in cache
 _TILE_CELLS = 32_768
+# tiles are handed to the pool in about this many spans per worker: the rows
+# in the density's tails cost several times more (np.exp is slow where it
+# underflows), so equal row counts are not equal work
+_SPANS_PER_WORKER = 4
+
+
+def _workers() -> int:
+    """Threads for one ``kde_pdf`` call: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def kde_pdf(model: KdeModel, x):
@@ -170,7 +184,10 @@ def kde_pdf(model: KdeModel, x):
     Samples are summed in blocks of ``_CHUNK_CELLS // q``; each block is
     formed one tile of grid rows at a time. A row's value depends only on its
     own blocks, summed in the same order, so the tile size changes no bit of
-    the result.
+    the result. Spans of whole tiles run in parallel on a thread pool with
+    one thread per CPU this process may use (NumPy releases the interpreter
+    lock inside its loops); each span writes only its own rows, so the
+    worker count changes no bit either.
     """
     batch, single = _as_batch(x, model.dim)
     pts = model.samples.points
@@ -180,12 +197,24 @@ def kde_pdf(model: KdeModel, x):
     out = np.zeros(q)
     step = max(1, _CHUNK_CELLS // max(q, 1))
     rows = max(1, _TILE_CELLS // step)
-    for j0 in range(0, n, step):
-        block = pts[j0 : j0 + step]
-        for r0 in range(0, q, rows):
-            u = (batch[r0 : r0 + rows, None, :] - block[None, :, :]) / h
-            k = model.kernel.profile_1d(u)
-            out[r0 : r0 + rows] += (k.prod(axis=2) if d > 1 else k[:, :, 0]).sum(axis=1)
+
+    def fill(r0: int, r1: int) -> None:
+        for j0 in range(0, n, step):
+            block = pts[j0 : j0 + step]
+            for t0 in range(r0, r1, rows):
+                u = (batch[t0 : t0 + rows, None, :] - block[None, :, :]) / h
+                k = model.kernel.profile_1d(u)
+                out[t0 : t0 + rows] += (k.prod(axis=2) if d > 1 else k[:, :, 0]).sum(axis=1)
+
+    tiles = -(-q // rows)
+    workers = min(_workers(), tiles)
+    if workers < 2:
+        fill(0, q)
+    else:
+        span = rows * max(1, tiles // (_SPANS_PER_WORKER * workers))
+        with ThreadPoolExecutor(workers) as pool:
+            for done in [pool.submit(fill, r0, min(r0 + span, q)) for r0 in range(0, q, span)]:
+                done.result()
     out /= n * h**d
     return float(out[0]) if single else out
 
