@@ -30,7 +30,13 @@ class SignedKernelError(ValueError):
 
 
 def _phi(u: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    # exp(-0.5 * u * u) / sqrt(2 pi) in one buffer: the same operations in the
+    # same order, so the same bits, with one temporary instead of four
+    t = np.asarray(-0.5 * u)
+    t *= u
+    np.exp(t, out=t)
+    t /= math.sqrt(2.0 * math.pi)
+    return t
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,11 @@ _TILE_CELLS = 32_768
 # in the density's tails cost several times more (np.exp is slow where it
 # underflows), so equal row counts are not equal work
 _SPANS_PER_WORKER = 4
+# least cells (grid rows x samples) per pool worker; a smaller call runs on
+# fewer workers or serially. Below this a call is mostly cheap, unsaturated
+# exp cells, two threads gain little over one and the gain swings with the
+# load on the other CPU (see README, Performance)
+_POOL_CELLS = 1 << 24
 
 
 def _workers() -> int:
@@ -185,9 +196,10 @@ def kde_pdf(model: KdeModel, x):
     formed one tile of grid rows at a time. A row's value depends only on its
     own blocks, summed in the same order, so the tile size changes no bit of
     the result. Spans of whole tiles run in parallel on a thread pool with
-    one thread per CPU this process may use (NumPy releases the interpreter
-    lock inside its loops); each span writes only its own rows, so the
-    worker count changes no bit either.
+    one thread per CPU this process may use, but no more than one per
+    ``_POOL_CELLS`` cells (NumPy releases the interpreter lock inside its
+    loops); each span writes only its own rows, so the worker count changes
+    no bit either.
     """
     batch, single = _as_batch(x, model.dim)
     pts = model.samples.points
@@ -199,15 +211,19 @@ def kde_pdf(model: KdeModel, x):
     rows = max(1, _TILE_CELLS // step)
 
     def fill(r0: int, r1: int) -> None:
+        scratch = np.empty(rows * min(step, n) * d)  # the scaled offsets of one tile
         for j0 in range(0, n, step):
             block = pts[j0 : j0 + step]
             for t0 in range(r0, r1, rows):
-                u = (batch[t0 : t0 + rows, None, :] - block[None, :, :]) / h
+                tile = batch[t0 : t0 + rows]
+                u = scratch[: tile.shape[0] * block.shape[0] * d].reshape(tile.shape[0], -1, d)
+                np.subtract(tile[:, None, :], block[None, :, :], out=u)
+                u /= h
                 k = model.kernel.profile_1d(u)
                 out[t0 : t0 + rows] += (k.prod(axis=2) if d > 1 else k[:, :, 0]).sum(axis=1)
 
     tiles = -(-q // rows)
-    workers = min(_workers(), tiles)
+    workers = min(_workers(), tiles, q * n // _POOL_CELLS)
     if workers < 2:
         fill(0, q)
     else:

@@ -91,6 +91,13 @@ class TestFitAndPdf:
         assert v > 0
 
 
+@pytest.mark.parametrize("u", [np.linspace(-40.0, 40.0, 80_001), np.array(1.3), np.zeros((3, 0, 2))])
+def test_phi_in_place_keeps_bits(u):
+    """Normal, subnormal and underflowing exp results, a 0-d and an empty input."""
+    expected = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    assert np.array_equal(KernelSpec.gaussian().profile_1d(u), expected)
+
+
 def untiled_pdf(model: KdeModel, x) -> np.ndarray:
     """The estimate with each sample block formed over every row in one pass."""
     batch = np.asarray(x, dtype=float).reshape(-1, model.dim)
@@ -157,7 +164,36 @@ class TestThreadedPdf:
 
     @pytest.fixture
     def set_workers(self, monkeypatch):
+        # the calls here are far below _POOL_CELLS; let every one reach the pool
+        monkeypatch.setattr(kernels, "_POOL_CELLS", 1)
         return lambda count: monkeypatch.setattr(kernels, "_workers", lambda: count)
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+        pool = kernels.ThreadPoolExecutor
+
+        def record(workers):
+            sizes.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(kernels, "ThreadPoolExecutor", record)
+        return sizes
+
+    def test_small_call_runs_serially(self, monkeypatch, pool_sizes):
+        model, grid = model_and_grid(KernelSpec.gaussian(), 1, 1500, 4097)
+        monkeypatch.setattr(kernels, "_workers", lambda: 8)
+        assert grid.shape[0] * 1500 < kernels._POOL_CELLS
+        assert np.array_equal(kde_pdf(model, grid), untiled_pdf(model, grid))
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("per_worker, expected", [(3_000_000, 2), (2_000_000, 3)])
+    def test_one_worker_per_pool_cells(self, monkeypatch, pool_sizes, per_worker, expected):
+        model, grid = model_and_grid(KernelSpec.gaussian(), 1, 1500, 4097)  # 6.1e6 cells
+        monkeypatch.setattr(kernels, "_workers", lambda: 8)
+        monkeypatch.setattr(kernels, "_POOL_CELLS", per_worker)
+        assert np.array_equal(kde_pdf(model, grid), untiled_pdf(model, grid))
+        assert pool_sizes == [expected]
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     @pytest.mark.parametrize("d, nodes", [(1, 4097), (2, 65)])
