@@ -27,7 +27,7 @@ print("replaying the same seed is bit-identical:",
 
 print("\nclosed-form distances")
 print("  TV(N(0,1), N(1,1))  =", analytic_tv_gauss1d(standard, shifted))
-print("  TV(N(0,1), N(0,2))  =", analytic_tv_gauss1d(standard, wide), "(quadrature branch)")
+print("  TV(N(0,1), N(0,2))  =", analytic_tv_gauss1d(standard, wide), "(two crossings)")
 print("  KL(N(0.5,1)||N(0,1)) =", kl_gauss1d(Gauss1D(0.5, 1), standard))
 
 mix = GaussMixture1D(((0.5, -2.0, 1.0), (0.5, 2.0, 1.0)))

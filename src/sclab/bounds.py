@@ -17,13 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from .mixing import MixtureSchedule
 
 _ORACLE_LIMIT = 12  # path expansion is exponential in the generation count
-_BRENT_RTOL = 4 * np.finfo(float).eps  # the smallest relative tolerance brentq accepts
 
 # generator families with a bound evaluator: bound_diffusion, bound_kde, bound_flow
 FAMILIES = ("diffusion", "kde", "flow")
@@ -111,7 +108,7 @@ def balanced_coefficients_gamma(i: int) -> tuple[float, ...]:
     """
     vals = []
     for k in range(i):
-        ratios = [math.exp(gammaln(j + 2) - gammaln(i + 2)) for j in range(k, i)]
+        ratios = [math.exp(math.lgamma(j + 2) - math.lgamma(i + 2)) for j in range(k, i)]
         vals.append(math.fsum(ratios))
     vals.append(1.0)
     return tuple(vals)
@@ -137,6 +134,10 @@ class BoundInputs:
             raise ValueError("dimension must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if self.s is not None and self.s < 1:
+            raise ValueError("smoothness order s must be >= 1")
+        if self.R is not None and not 0.0 <= self.R < math.inf:
+            raise ValueError("norm cap R must be nonnegative and finite")
         if self.kl_terms is not None:
             kl = tuple(float(v) for v in self.kl_terms)
             if len(kl) != len(n):
@@ -280,7 +281,8 @@ def lambda_star(i: int) -> float:
 
     h is solved in v = 1/(1+lam) = 1-u, with u**k = exp(k*log1p(-v)) and
     S(u) = (1 - u**(i+1))/v, which keeps full relative precision as v -> 0
-    at large i.
+    at large i. The bracket is bisected until its ends are adjacent floats,
+    and the end with the smaller |h| is the root.
     """
     if i < 1:
         raise ValueError("generation must be >= 1")
@@ -289,8 +291,13 @@ def lambda_star(i: int) -> float:
         log_u = math.log1p(-v)
         return -3.0 * math.expm1((i + 1) * log_u) / v - 4.0 * (i + 1) * math.exp(i * log_u)
 
-    lo = 1.0 / (1.0 + 4.0 * i)
-    v = brentq(h, lo, 1.0 / (1.0 + i), xtol=lo * _BRENT_RTOL, rtol=_BRENT_RTOL)
+    lo, hi = 1.0 / (1.0 + 4.0 * i), 1.0 / (1.0 + i)  # h(lo) < 0 < h(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if h(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    v = min(lo, hi, key=lambda x: abs(h(x)))
     return (1.0 - v) / v
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, bounds, kernels, loop, mixing
 from .distributions import Gauss1D, Gauss2D, GaussMixture1D, TargetDensity
@@ -594,8 +593,7 @@ def write_csv_atomic(path: Path, columns, rows) -> None:
 
 def _write_manifest(cfg: ExperimentConfig, out_dir: Path, started: float) -> None:
     comments = (
-        f"sclab {__version__}, numpy {np.__version__}, scipy {scipy.__version__}, "
-        f"python {sys.version.split()[0]}",
+        f"sclab {__version__}, numpy {np.__version__}, python {sys.version.split()[0]}",
         f"wall time {time.time() - started:.3f} s",
     )
     tmp = out_dir / "manifest.ini.tmp"

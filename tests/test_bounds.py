@@ -213,6 +213,21 @@ class TestBoundFlow:
             bound_flow(MixtureSchedule.balanced(1), BoundInputs(n=(16, 16)))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("s", -1, "smoothness order"),
+        ("s", 0, "smoothness order"),
+        ("R", -1.5, "norm cap"),
+        ("R", math.nan, "norm cap"),
+        ("R", math.inf, "norm cap"),
+    ],
+)
+def test_bound_inputs_refuse_invalid_order_and_cap(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        BoundInputs(n=(16, 16), **{field: value})
+
+
 # i = 2, d = 1, delta = 1/2, so log(i / delta) = log 4; each term is written by hand
 LOG4 = math.log(4.0)
 TABLE_FAMILIES = {
@@ -386,6 +401,16 @@ class TestPhaseTransition:
         x = brentq(lambda x: 4 * x - 3 * math.expm1(x), 0.1, 2.0, xtol=1e-15)
         assert 1 / x == pytest.approx(1.8175184515, abs=1e-10)
         assert lambda_star(i) / (i + 1) == pytest.approx(1 / x, rel=1e-5)
+
+    @pytest.mark.parametrize("i", [*range(1, 101), 10**3, 10**4, 10**5, 10**6])
+    def test_matches_brentq_oracle(self, i):
+        # 3 S(u) = 4(i+1) u**i divided by u**i, in x = 1/lam:
+        # sum_{k=0}^{i} (1 + x)**k = expm1((i+1) log1p(x)) / x = 4(i+1)/3
+        def g(lam):
+            return 3.0 * lam * math.expm1((i + 1) * math.log1p(1.0 / lam)) - 4.0 * (i + 1)
+
+        ref = brentq(g, float(i), 4.0 * i, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert lambda_star(i) == pytest.approx(ref, rel=1e-13)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

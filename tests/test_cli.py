@@ -491,6 +491,26 @@ delta = 0.2
         assert record == {"error": "config", "errors": ["need 4 sample counts, got 2"]}
         assert not (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "kde", "--s", "-1"], "smoothness order s must be >= 1"),
+            (["--family", "kde", "--s", "0"], "smoothness order s must be >= 1"),
+            (["--family", "flow", "--r-cap", "-1.5"], "norm cap R must be nonnegative and finite"),
+            (["--family", "flow", "--r-cap", "nan"], "norm cap R must be nonnegative and finite"),
+        ],
+        ids=["s_negative", "s_zero", "r_cap_negative", "r_cap_nan"],
+    )
+    def test_bounds_subcommand_rejects_invalid_order_and_cap(
+        self, tmp_path, capsys, flags, message
+    ):
+        code = main(["bounds", "--schedule", "balanced", "--i", "3", *flags,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "config", "errors": [message]}
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_entry_point_installed(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "sclab.cli", "bounds", "--schedule", "balanced",

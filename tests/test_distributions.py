@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import brentq
 
 from sclab.distributions import (
     Gauss1D,
@@ -12,6 +13,42 @@ from sclab.distributions import (
     analytic_tv_gauss1d,
     kl_gauss1d,
 )
+
+
+def _tv_by_quadrature(a, b):
+    """Half the integral of |pdf_a - pdf_b| over a 12-sigma box.
+
+    The box is split at the means and at the crossings, found apart from the
+    code under test: sign changes of log(pdf_a / pdf_b) on a grid, refined by
+    brentq. quad then integrates each smooth piece on its own; a kink inside
+    a piece can fool its error estimate.
+    """
+    lo = min(a.mean - 12 * a.std, b.mean - 12 * b.std)
+    hi = max(a.mean + 12 * a.std, b.mean + 12 * b.std)
+
+    def log_ratio(x):
+        za, zb = (x - a.mean) / a.std, (x - b.mean) / b.std
+        return 0.5 * (zb * zb - za * za) + math.log(b.std / a.std)
+
+    grid = np.linspace(lo, hi, 4097)
+    sign = np.sign(log_ratio(grid))
+    crossings = [brentq(log_ratio, grid[k], grid[k + 1], xtol=1e-15, rtol=1e-15)
+                 for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
+    inner = [*crossings, *grid[sign == 0], a.mean, b.mean]
+    cuts = sorted({lo, hi, *(float(x) for x in inner if lo < x < hi)})
+    pieces = [
+        integrate.quad(lambda x: abs(a.pdf(x) - b.pdf(x)), x0, x1,
+                       epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        for x0, x1 in zip(cuts, cuts[1:])
+    ]
+    return 0.5 * math.fsum(pieces)
+
+
+def _oracle_pairs():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        yield (Gauss1D(float(rng.uniform(-4, 4)), float(rng.uniform(0.2, 3))),
+               Gauss1D(float(rng.uniform(-4, 4)), float(rng.uniform(0.2, 3))))
 
 
 class TestSampling:
@@ -148,6 +185,20 @@ class TestAnalyticTV:
         x = np.linspace(-20, 20, 2**17 + 1)
         ref = 0.5 * np.trapezoid(np.abs(a.pdf(x) - b.pdf(x)), x)
         assert v == pytest.approx(ref, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Gauss1D(0.3, 1.2), Gauss1D(-1.1, 1.2)),  # equal std
+            (Gauss1D(0.5, 0.7), Gauss1D(0.5, 2.0)),  # equal mean
+            (Gauss1D(0.0, 1.0), Gauss1D(0.8, 1.0 + 1e-9)),  # std ratio 1 + 1e-9
+            (Gauss1D(0.3, 0.7), Gauss1D(-2.2, 0.7 * (1.0 + 1e-12))),  # ratio 1 + 1e-12
+            (Gauss1D(-20.0, 1.0), Gauss1D(20.0, 1.5)),  # means 40 apart
+            *_oracle_pairs(),
+        ],
+    )
+    def test_matches_quadrature_oracle(self, a, b):
+        assert analytic_tv_gauss1d(a, b) == pytest.approx(_tv_by_quadrature(a, b), abs=1e-11)
 
     def test_symmetry_zero_iff_equal_and_bounded(self):
         rng = np.random.default_rng(1)
