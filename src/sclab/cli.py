@@ -742,14 +742,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_bounds(args) -> int:
     try:
-        schedule = _build_schedule(
-            args.schedule, max(1, args.i), args.n_real, args.m_synth, args.alpha
-        )
+        i = _p_pos_int(args.i)  # the rule of [bounds] i
+        schedule = _build_schedule(args.schedule, i, args.n_real, args.m_synth, args.alpha)
         counts = _p_int_list(args.n)
         n = ConstantSizes(counts[0]) if len(counts) == 1 else ExplicitSizes(counts)
         inputs = _bound_inputs(
-            n, args.i, args.d, args.delta, _p_float_list(args.kl), args.s, args.r_cap
+            n, i, args.d, args.delta, _p_float_list(args.kl), args.s, args.r_cap
         )
+        if args.r_cap is not None:
+            _p_pos_float(args.r_cap)  # [bounds] r_cap refuses the zero cap BoundInputs takes
         rows = bounds.bound_table_rows(schedule, inputs, args.family)
     except ValueError as exc:
         print(_error_record("config", errors=[str(exc)]), file=sys.stderr)

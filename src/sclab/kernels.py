@@ -192,6 +192,109 @@ def kde_pdf(model: KdeModel, x):
     May be negative for higher-order kernels. Accepts a single point or a
     (q, d) batch.
 
+    A 1-d Gaussian estimate on an ascending uniform grid (points bitwise
+    equal to ``np.linspace(x[0], x[-1], q)``, as every quadrature grid is)
+    is evaluated by Taylor-expanded binning (``_grid_pdf``): each value is
+    within about ``eps * phi(0) / h`` of the exact sum, the sum's own
+    rounding. Every other input, and a grid too coarse for the expansion,
+    takes the exact sum (``_exact_pdf``).
+    """
+    batch, single = _as_batch(x, model.dim)
+    out = None
+    if not single and model.dim == 1 and model.kernel.profile == "gaussian":
+        out = _grid_pdf(model, batch[:, 0])
+    if out is None:
+        out = _exact_pdf(model, batch)
+    return float(out[0]) if single else out
+
+
+# Cramer's constant: |He_m(u)| exp(-u^2 / 4) <= _CRAMER * sqrt(m!) for every
+# real u and m >= 0, so |He_m(u) phi(u)| <= _CRAMER * sqrt(m!) * phi(0)
+_CRAMER = 1.0865
+# highest Taylor order of the grid path; a grid that needs more (h below
+# about 3.5 grid spacings) takes the exact sum
+_MAX_ORDER = 12
+
+
+def _taylor_order(rho: float) -> int | None:
+    """Least order M whose Taylor remainder is at most eps * phi(0) at every u.
+
+    The remainder of phi(u - e) = sum_m e^m / m! He_m(u) phi(u) past order M,
+    for |e| <= rho, is at most _CRAMER * phi(0) * sum_{m > M} rho^m / sqrt(m!);
+    past its first term the sum shrinks by at least rho / sqrt(M + 2) a term.
+    None when no M <= _MAX_ORDER is enough.
+    """
+    eps = np.finfo(float).eps
+    for m in range(_MAX_ORDER + 1):
+        first = _CRAMER * rho ** (m + 1) / math.sqrt(math.factorial(m + 1))
+        ratio = rho / math.sqrt(m + 2)
+        if ratio < 1.0 and first <= eps * (1.0 - ratio):
+            return m
+    return None
+
+
+def _grid_pdf(model: KdeModel, x: np.ndarray) -> np.ndarray | None:
+    """The 1-d Gaussian estimate on a grid ``x`` by Taylor-expanded binning.
+
+    Each sample x_j moves to its nearest node g_k (the grid extended past
+    both ends), leaving the offset e_j = (x_j - g_k) / h, |e_j| <= rho =
+    spacing / (2h). Since phi(u - e) = sum_m e^m / m! He_m(u) phi(u), the
+    grid values are sum_{m <= M} (c_m * He_m phi)[i] / (n h), one convolution
+    per order of c_m[k] = sum_{j -> k} e_j^m / m! with the tabulated
+    He_m(l spacing / h) phi(l spacing / h), done by real FFTs (Greengard and
+    Strain, 1991, the fast Gauss transform). M is the least order whose
+    remainder bound is under eps * phi(0) (``_taylor_order``), so each value
+    is within about eps * phi(0) / h of the exact sum. Lags and samples past
+    the profile's support radius from every node (phi below phi(16), about
+    1e-56) are dropped. Returns None, for the exact sum to run, unless ``x``
+    is bitwise ``np.linspace(lo, hi, q)`` with q >= 2 and lo < hi, some order
+    up to ``_MAX_ORDER`` is enough, and the kernel reaches no further than
+    the grid is wide (which keeps the transforms shorter than 6q).
+    """
+    q = x.size
+    if q < 2 or not x[0] < x[-1]:
+        return None
+    lo, hi = float(x[0]), float(x[-1])
+    if not np.array_equal(x, np.linspace(lo, hi, q)):
+        return None
+    h = model.bandwidth
+    dx = (hi - lo) / (q - 1)
+    order = _taylor_order(dx / (2.0 * h))
+    reach = math.ceil(model.kernel.support_radius() * h / dx)  # in nodes
+    if order is None or reach >= q:
+        return None
+    pts = model.samples.points[:, 0]
+    node = np.rint((pts - lo) / dx)
+    near = (node >= -reach) & (node <= q - 1 + reach)
+    node = node[near]
+    offset = (pts[near] - (node * dx + lo)) / h
+    bins = node.astype(np.intp) + reach
+    u = np.arange(-reach, reach + 1) * (dx / h)
+    phi = _phi(u)
+    size = 1 << (q + 2 * reach - 1).bit_length()  # a circular length >= q + 2 reach
+    taps = np.zeros(size)  # lag l at index l mod size
+    he_prev, he = np.zeros_like(u), np.ones_like(u)
+    weight = np.ones_like(offset)
+    total = 0.0
+    for m in range(order + 1):
+        if m:
+            he_prev, he = he, u * he - (m - 1) * he_prev  # He_m = u He_{m-1} - (m-1) He_{m-2}
+        kernel = he * phi
+        taps[: reach + 1] = kernel[reach:]
+        taps[size - reach :] = kernel[:reach]
+        coeffs = np.bincount(bins, weights=weight, minlength=q + 2 * reach)
+        total = total + np.fft.rfft(coeffs, size) * np.fft.rfft(taps)
+        weight = weight * offset / (m + 1)
+    # node i sits at circular index i + reach; the rounding of the transforms
+    # can leave tail values a little below zero, where the exact sum is >= 0
+    out = np.maximum(np.fft.irfft(total, size)[reach : reach + q], 0.0)
+    out /= pts.shape[0] * h
+    return out
+
+
+def _exact_pdf(model: KdeModel, batch: np.ndarray) -> np.ndarray:
+    """The estimate at each row of a (q, d) batch, summed over every sample.
+
     Samples are summed in blocks of ``_CHUNK_CELLS // q``; each block is
     formed one tile of grid rows at a time. A row's value depends only on its
     own blocks, summed in the same order, so the tile size changes no bit of
@@ -199,9 +302,8 @@ def kde_pdf(model: KdeModel, x):
     one thread per CPU this process may use, but no more than one per
     ``_POOL_CELLS`` cells (NumPy releases the interpreter lock inside its
     loops); each span writes only its own rows, so the worker count changes
-    no bit either.
+    no bit either. It is the grid path's fallback and its test oracle.
     """
-    batch, single = _as_batch(x, model.dim)
     pts = model.samples.points
     h = model.bandwidth
     n, d = pts.shape
@@ -232,7 +334,7 @@ def kde_pdf(model: KdeModel, x):
             for done in [pool.submit(fill, r0, min(r0 + span, q)) for r0 in range(0, q, span)]:
                 done.result()
     out /= n * h**d
-    return float(out[0]) if single else out
+    return out
 
 
 def l1_error(model: KdeModel, target: TargetDensity, nodes: int = 4096) -> float:

@@ -511,6 +511,30 @@ delta = 0.2
         assert record == {"error": "config", "errors": [message]}
         assert not (tmp_path / "bounds.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, keys, message",
+        [
+            (["--i", "0"], "i = 0", "bounds.i: 0 is not a positive count"),
+            (["--i", "2", "--family", "flow", "--r-cap", "0"], "i = 2\nfamily = flow\nr_cap = 0",
+             "bounds.r_cap: 0.0 must be positive"),
+        ],
+        ids=["i_zero", "r_cap_zero"],
+    )
+    def test_both_front_ends_refuse_zero(self, tmp_path, capsys, flags, keys, message):
+        """``sclab bounds`` gives the [bounds] key's message without the key name."""
+        cli_out, cfg_out = tmp_path / "cli", tmp_path / "cfg"
+        code = main(["bounds", "--schedule", "balanced", *flags, "--out", str(cli_out)])
+        assert code == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "config", "errors": [message.partition(": ")[2]]}
+        assert not cli_out.exists()
+        path = tmp_path / "bounds.ini"
+        path.write_text(BOUNDS_CONFIG.format(n="constant:100", i=2).replace("i = 2", keys))
+        assert main(["run", "--config", str(path), "--out", str(cfg_out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "config", "errors": [message]}
+        assert not cfg_out.exists()
+
     def test_entry_point_installed(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "sclab.cli", "bounds", "--schedule", "balanced",

@@ -4,9 +4,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sclab import kernels
 from sclab.distributions import Gauss1D, Gauss2D, SampleSet
+from sclab.divergences import grid_axes
 from sclab.kernels import (
     KdeModel,
     KernelSpec,
@@ -121,6 +124,8 @@ def model_and_grid(kernel: KernelSpec, d: int, n: int, nodes: int):
 
 
 class TestTiledPdf:
+    """The exact sum (``_exact_pdf``), the grid path's oracle and fallback."""
+
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     @pytest.mark.parametrize("d, nodes", [(1, 4097), (2, 65)])
     def test_bit_identical_to_untiled(self, kernel, d, nodes):
@@ -129,7 +134,7 @@ class TestTiledPdf:
         step = kernels._CHUNK_CELLS // q
         rows = kernels._TILE_CELLS // step
         assert q % rows and 1500 % step  # a short last tile and a short last block
-        assert np.array_equal(kde_pdf(model, grid), untiled_pdf(model, grid))
+        assert np.array_equal(kernels._exact_pdf(model, grid), untiled_pdf(model, grid))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_single_point(self, d):
@@ -151,7 +156,7 @@ class TestTiledPdf:
             KernelSpec, "profile_1d", lambda self, u: calls.append(u.shape) or profile(self, u)
         )
         monkeypatch.setattr(kernels, "_TILE_CELLS", 20)
-        assert np.array_equal(kde_pdf(model, grid), whole)
+        assert np.array_equal(kernels._exact_pdf(model, grid), whole)
         q = grid.shape[0]
         step = 1000 // q  # 9 samples per block in 1-d, 8 in 2-d
         rows = 20 // step  # 2 rows per tile
@@ -184,7 +189,7 @@ class TestThreadedPdf:
         model, grid = model_and_grid(KernelSpec.gaussian(), 1, 1500, 4097)
         monkeypatch.setattr(kernels, "_workers", lambda: 8)
         assert grid.shape[0] * 1500 < kernels._POOL_CELLS
-        assert np.array_equal(kde_pdf(model, grid), untiled_pdf(model, grid))
+        assert np.array_equal(kernels._exact_pdf(model, grid), untiled_pdf(model, grid))
         assert pool_sizes == []
 
     @pytest.mark.parametrize("per_worker, expected", [(3_000_000, 2), (2_000_000, 3)])
@@ -192,8 +197,16 @@ class TestThreadedPdf:
         model, grid = model_and_grid(KernelSpec.gaussian(), 1, 1500, 4097)  # 6.1e6 cells
         monkeypatch.setattr(kernels, "_workers", lambda: 8)
         monkeypatch.setattr(kernels, "_POOL_CELLS", per_worker)
-        assert np.array_equal(kde_pdf(model, grid), untiled_pdf(model, grid))
+        assert np.array_equal(kernels._exact_pdf(model, grid), untiled_pdf(model, grid))
         assert pool_sizes == [expected]
+
+    def test_one_cpu_runs_serially(self, monkeypatch, pool_sizes):
+        """A pool of one thread per usable CPU; under ``taskset -c 0``, none."""
+        model, grid = model_and_grid(KernelSpec.gaussian(), 1, 1500, 4097)
+        monkeypatch.setattr(kernels, "_POOL_CELLS", 1)
+        cpus = kernels._workers()
+        assert np.array_equal(kernels._exact_pdf(model, grid), untiled_pdf(model, grid))
+        assert pool_sizes == ([cpus] if cpus > 1 else [])
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     @pytest.mark.parametrize("d, nodes", [(1, 4097), (2, 65)])
@@ -203,12 +216,12 @@ class TestThreadedPdf:
         rows = kernels._TILE_CELLS // (kernels._CHUNK_CELLS // q)
         tiles = -(-q // rows)
         set_workers(1)
-        serial = kde_pdf(model, grid)
+        serial = kernels._exact_pdf(model, grid)
         for workers in (2, 3, 8):
             span_tiles = tiles // (kernels._SPANS_PER_WORKER * workers)
             assert span_tiles > 1 and tiles % span_tiles  # a short last span
             set_workers(workers)
-            assert np.array_equal(kde_pdf(model, grid), serial), f"{workers} workers"
+            assert np.array_equal(kernels._exact_pdf(model, grid), serial), f"{workers} workers"
 
     @pytest.mark.parametrize("workers", [2, 8])
     @pytest.mark.parametrize("q", [1, 2, 7])
@@ -216,19 +229,19 @@ class TestThreadedPdf:
         model, _ = model_and_grid(KernelSpec.gaussian(), 1, 300, 3)
         x = np.linspace(-3.0, 3.0, q)[:, None]
         set_workers(workers)
-        assert np.array_equal(kde_pdf(model, x), untiled_pdf(model, x))
+        assert np.array_equal(kernels._exact_pdf(model, x), untiled_pdf(model, x))
 
     def test_rows_within_one_tile(self, monkeypatch, set_workers):
         model, grid = model_and_grid(KernelSpec.gaussian(), 1, 300, 101)
         monkeypatch.setattr(kernels, "_TILE_CELLS", 10**8)  # 101 rows < one tile
         set_workers(8)
-        assert np.array_equal(kde_pdf(model, grid), untiled_pdf(model, grid))
+        assert np.array_equal(kernels._exact_pdf(model, grid), untiled_pdf(model, grid))
 
     def test_no_thread_outlives_the_call(self, set_workers):
         model, grid = model_and_grid(KernelSpec.gaussian(), 2, 1500, 65)
         set_workers(8)
         before = threading.active_count()
-        kde_pdf(model, grid)
+        kernels._exact_pdf(model, grid)
         assert threading.active_count() == before
 
     def test_worker_exception_propagates(self, monkeypatch, set_workers):
@@ -241,8 +254,119 @@ class TestThreadedPdf:
         set_workers(2)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="profile failed"):
-            kde_pdf(model, grid)
+            kernels._exact_pdf(model, grid)
         assert threading.active_count() == before
+
+
+# the grid path's error bound, in units of the exact sum's own rounding at the
+# grid's largest coordinate X: eps * (1 + X / h) * phi(0) / h (at most 0.9 seen)
+GRID_ERROR_UNITS = 2.0
+
+
+def grid_error_unit(x: np.ndarray, h: float) -> float:
+    return np.finfo(float).eps * (1.0 + np.abs(x).max() / h) / (math.sqrt(2.0 * math.pi) * h)
+
+
+def one_node_nudged(x: np.ndarray, k: int) -> np.ndarray:
+    x = x.copy()
+    x[k] = np.nextafter(x[k], np.inf)
+    return x
+
+
+class TestGridPdf:
+    """Taylor-expanded binning of a 1-d Gaussian estimate on a uniform grid."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 16384),
+        h=st.floats(0.05, 2.0),
+        nodes=st.sampled_from([1024, 1025, 4097, 8193]),
+        widths=st.floats(1.01, 18.0),  # box width in kernel reaches 16h
+        centre=st.floats(-20.0, 20.0),
+        spread=st.floats(0.01, 3.0),  # sample spread in box widths
+        far=st.floats(0.0, 0.5),  # share of samples past the kernel's reach
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=16384, h=2.0, nodes=8193, widths=1.01, centre=0.0, spread=0.01, far=0.0, seed=0)
+    @example(n=5000, h=0.05, nodes=1024, widths=18.0, centre=3.0, spread=1.0, far=0.2, seed=1)
+    def test_matches_exact_sum(self, n, h, nodes, widths, centre, spread, far, seed):
+        rng = np.random.default_rng(seed)
+        width = 16.0 * h * widths
+        lo, hi = centre - width / 2, centre + width / 2
+        pts = rng.normal(centre, spread * width, n)
+        beyond = rng.random(n) < far  # these lie more than 16h outside the box
+        side = np.where(rng.random(n) < 0.5, lo - 16.0 * h, hi + 16.0 * h)
+        pts[beyond] = side[beyond] + np.sign(side[beyond] - centre) * rng.uniform(0, 10, beyond.sum())
+        model = KdeModel(SampleSet(pts[:, None], 0), KernelSpec.gaussian(), bandwidth=h)
+        x = np.linspace(lo, hi, nodes)
+        got = kernels._grid_pdf(model, x)
+        assert got is not None  # rho = spacing / 2h <= 0.141: an order M <= 12 suffices
+        assert np.array_equal(kde_pdf(model, x), got)
+        exact = kernels._exact_pdf(model, x[:, None])
+        assert (got >= 0).all()
+        assert np.abs(got - exact).max() <= GRID_ERROR_UNITS * grid_error_unit(x, h)
+
+    def test_quadrature_grid_takes_grid_path(self):
+        target = Gauss1D(0, 1)
+        model = fit(target.sample(4096, 2), KernelSpec.gaussian())
+        x = grid_axes(target.support_hint, 4097)[0]
+        got = kernels._grid_pdf(model, x)
+        assert got is not None
+        assert np.array_equal(kde_pdf(model, x[:, None]), got)
+        exact = kernels._exact_pdf(model, x[:, None])
+        assert np.abs(got - exact).max() <= GRID_ERROR_UNITS * grid_error_unit(x, model.bandwidth)
+        assert l1_error(model, target) == pytest.approx(
+            0.5 * np.trapezoid(np.abs(exact - target.pdf(x)), x), abs=1e-15
+        )
+
+    @pytest.mark.parametrize(
+        "model_kernel",
+        [KernelSpec.epanechnikov(), KernelSpec.higher_order_gaussian(4),
+         KernelSpec.higher_order_gaussian(6)],
+    )
+    def test_other_profiles_take_exact_sum(self, model_kernel):
+        model, grid = model_and_grid(model_kernel, 1, 1500, 4097)
+        assert np.array_equal(kde_pdf(model, grid), kernels._exact_pdf(model, grid))
+
+    def test_two_dimensions_take_exact_sum(self):
+        model, grid = model_and_grid(KernelSpec.gaussian(), 2, 1500, 65)
+        assert np.array_equal(kde_pdf(model, grid), kernels._exact_pdf(model, grid))
+
+    def test_single_point_takes_exact_sum(self):
+        model, _ = model_and_grid(KernelSpec.gaussian(), 1, 1500, 3)
+        assert kde_pdf(model, 0.3) == kernels._exact_pdf(model, np.array([[0.3]]))[0]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.linspace(-10.0, 10.0, 4097)[::-1],  # descending: bitwise linspace(10, -10)
+            one_node_nudged(np.linspace(-10.0, 10.0, 4097), 2000),
+            np.geomspace(1.0, 20.0, 4097) - 10.0,
+            np.full(4097, 0.5),
+            np.array([0.5]),
+        ],
+        ids=["descending", "one_ulp_off", "nonuniform", "constant", "one_row"],
+    )
+    def test_non_grid_takes_exact_sum(self, grid):
+        model, _ = model_and_grid(KernelSpec.gaussian(), 1, 1500, 3)
+        assert kernels._grid_pdf(model, grid) is None
+        assert np.array_equal(kde_pdf(model, grid), kernels._exact_pdf(model, grid[:, None]))
+
+    @pytest.mark.parametrize(
+        "h, lo, hi",
+        [(0.05, -10.5, 10.5), (1.0, -0.5, 0.5)],
+        ids=["needs_order_above_12", "kernel_wider_than_grid"],
+    )
+    def test_coarse_or_narrow_grid_takes_exact_sum(self, h, lo, hi):
+        pts = np.random.default_rng(4).uniform(lo, hi, (1500, 1))
+        model = KdeModel(SampleSet(pts, 0), KernelSpec.gaussian(), bandwidth=h)
+        x = np.linspace(lo, hi, 1024)
+        assert kernels._grid_pdf(model, x) is None
+        assert np.array_equal(kde_pdf(model, x), kernels._exact_pdf(model, x[:, None]))
+
+    @pytest.mark.parametrize("rho, order", [(0.0, 0), (0.01, 6), (0.14, 12), (0.15, None)])
+    def test_taylor_order(self, rho, order):
+        assert kernels._taylor_order(rho) == order
 
 
 class TestSampling:
