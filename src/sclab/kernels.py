@@ -196,8 +196,8 @@ def kde_pdf(model: KdeModel, x):
     equal to ``np.linspace(x[0], x[-1], q)``, as every quadrature grid is)
     is evaluated by Taylor-expanded binning (``_grid_pdf``): each value is
     within about ``eps * phi(0) / h`` of the exact sum, the sum's own
-    rounding. Every other input, and a grid too coarse for the expansion,
-    takes the exact sum (``_exact_pdf``).
+    rounding. Every other input, a grid too coarse for the expansion and a
+    grid narrower than the kernel's reach take the exact sum (``_exact_pdf``).
     """
     batch, single = _as_batch(x, model.dim)
     out = None
@@ -212,7 +212,7 @@ def kde_pdf(model: KdeModel, x):
 # real u and m >= 0, so |He_m(u) phi(u)| <= _CRAMER * sqrt(m!) * phi(0)
 _CRAMER = 1.0865
 # highest Taylor order of the grid path; a grid that needs more (h below
-# about 3.5 grid spacings) takes the exact sum
+# about 3.4 grid spacings) takes the exact sum
 _MAX_ORDER = 12
 
 
