@@ -320,21 +320,15 @@ class TestGridPdf:
         )
 
     @pytest.mark.parametrize(
-        "model_kernel",
-        [KernelSpec.epanechnikov(), KernelSpec.higher_order_gaussian(4),
-         KernelSpec.higher_order_gaussian(6)],
+        "kernel, d, nodes",
+        [(KernelSpec.epanechnikov(), 1, 4097), (KernelSpec.higher_order_gaussian(4), 1, 4097),
+         (KernelSpec.higher_order_gaussian(6), 1, 4097), (KernelSpec.gaussian(), 2, 65)],
+        ids=["epanechnikov", "order4", "order6", "gaussian_2d"],
     )
-    def test_other_profiles_take_exact_sum(self, model_kernel):
-        model, grid = model_and_grid(model_kernel, 1, 1500, 4097)
+    def test_other_profiles_and_2d_take_exact_sum(self, kernel, d, nodes):
+        # a single point takes it too: TestTiledPdf.test_single_point
+        model, grid = model_and_grid(kernel, d, 1500, nodes)
         assert np.array_equal(kde_pdf(model, grid), kernels._exact_pdf(model, grid))
-
-    def test_two_dimensions_take_exact_sum(self):
-        model, grid = model_and_grid(KernelSpec.gaussian(), 2, 1500, 65)
-        assert np.array_equal(kde_pdf(model, grid), kernels._exact_pdf(model, grid))
-
-    def test_single_point_takes_exact_sum(self):
-        model, _ = model_and_grid(KernelSpec.gaussian(), 1, 1500, 3)
-        assert kde_pdf(model, 0.3) == kernels._exact_pdf(model, np.array([[0.3]]))[0]
 
     @pytest.mark.parametrize(
         "grid",
