@@ -217,7 +217,6 @@ class TrainReport:
     steps_run: int
     losses: tuple[float, ...]  # trajectory, including initial and final values
     rkhs_norm: float  # ||A||_F^2 / m after the final step
-    early_stopped: bool  # the step budget (the sqrt-n rule) ended training
     lr: float = 0.0
 
 
@@ -285,7 +284,6 @@ def train(
         steps_run=tau_steps,
         losses=tuple(losses),
         rkhs_norm=net.rkhs_norm_sq(),
-        early_stopped=tau_steps > 0,
         lr=lr,
     )
 
@@ -321,18 +319,15 @@ def gauss_score_model(mu0: float, sigma0: float, dim: int = 1) -> _AnalyticGauss
     return _AnalyticGaussScore(mu0, sigma0, dim)
 
 
-def reverse_sample(
-    score, cfg: DiffusionConfig, n: int, seed: int, dim: int | None = None
-) -> SampleSet:
+def reverse_sample(score, cfg: DiffusionConfig, n: int, seed: int) -> SampleSet:
     """Euler-Maruyama integration of the reverse-time SDE from the N(0, I) prior.
 
-    ``score`` is a trained network or any object with an
+    ``score`` is a trained network or any object with a ``dim`` and an
     ``evaluate(x, t, horizon)`` method (e.g. the analytic Gaussian score).
     Runs on the uniform grid from the horizon down to t_min; a non-finite
     state aborts with the offending step named.
     """
-    if dim is None:
-        dim = getattr(score, "dim", 1)
+    dim = score.dim
     rng = np.random.default_rng(seed)
     steps = cfg.reverse_steps
     ts = np.linspace(cfg.horizon, cfg.t_min, steps + 1)

@@ -9,9 +9,7 @@ negative lobes and are retained for error-rate studies only.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,37 +165,19 @@ _CHUNK_CELLS = 4_000_000
 # cap on the scratch array (grid-row tile x sample block), about 256 KB, so
 # the temporaries of one tile stay in cache
 _TILE_CELLS = 32_768
-# tiles are handed to the pool in about this many spans per worker: the rows
-# in the density's tails cost several times more (np.exp is slow where it
-# underflows), so equal row counts are not equal work
-_SPANS_PER_WORKER = 4
-# least cells (grid rows x samples) per pool worker; a smaller call runs on
-# fewer workers or serially. Below this a call is mostly cheap, unsaturated
-# exp cells, two threads gain little over one and the gain swings with the
-# load on the other CPU (see README, Performance)
-_POOL_CELLS = 1 << 24
-
-
-def _workers() -> int:
-    """Threads for one ``kde_pdf`` call: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def kde_pdf(model: KdeModel, x):
     """Evaluate the estimate: (1 / (n h^d)) * sum_j K((x - x_j) / h).
 
     May be negative for higher-order kernels. Accepts a single point or a
-    (q, d) batch.
-
-    A 1-d Gaussian estimate on an ascending uniform grid (points bitwise
-    equal to ``np.linspace(x[0], x[-1], q)``, as every quadrature grid is)
-    is evaluated by Taylor-expanded binning (``_grid_pdf``): each value is
-    within about ``eps * phi(0) / h`` of the exact sum, the sum's own
-    rounding. Every other input, a grid too coarse for the expansion and a
-    grid narrower than the kernel's reach take the exact sum (``_exact_pdf``).
+    (q, d) batch. There are two paths. A 1-d Gaussian estimate on an
+    ascending uniform grid (points bitwise equal to
+    ``np.linspace(x[0], x[-1], q)``, as every quadrature grid is) is
+    evaluated by Taylor-expanded binning (``_grid_pdf``), each value within
+    about ``eps * phi(0) / h`` of the exact sum, the sum's own rounding. Every
+    other input, and every grid ``_grid_pdf`` declines, takes the exact sum
+    (``_exact_pdf``), which is also the grid path's test oracle.
     """
     batch, single = _as_batch(x, model.dim)
     out = None
@@ -298,11 +278,7 @@ def _exact_pdf(model: KdeModel, batch: np.ndarray) -> np.ndarray:
     Samples are summed in blocks of ``_CHUNK_CELLS // q``; each block is
     formed one tile of grid rows at a time. A row's value depends only on its
     own blocks, summed in the same order, so the tile size changes no bit of
-    the result. Spans of whole tiles run in parallel on a thread pool with
-    one thread per CPU this process may use, but no more than one per
-    ``_POOL_CELLS`` cells (NumPy releases the interpreter lock inside its
-    loops); each span writes only its own rows, so the worker count changes
-    no bit either. It is the grid path's fallback and its test oracle.
+    the result. It is the grid path's fallback and its test oracle.
     """
     pts = model.samples.points
     h = model.bandwidth
@@ -311,28 +287,16 @@ def _exact_pdf(model: KdeModel, batch: np.ndarray) -> np.ndarray:
     out = np.zeros(q)
     step = max(1, _CHUNK_CELLS // max(q, 1))
     rows = max(1, _TILE_CELLS // step)
-
-    def fill(r0: int, r1: int) -> None:
-        scratch = np.empty(rows * min(step, n) * d)  # the scaled offsets of one tile
-        for j0 in range(0, n, step):
-            block = pts[j0 : j0 + step]
-            for t0 in range(r0, r1, rows):
-                tile = batch[t0 : t0 + rows]
-                u = scratch[: tile.shape[0] * block.shape[0] * d].reshape(tile.shape[0], -1, d)
-                np.subtract(tile[:, None, :], block[None, :, :], out=u)
-                u /= h
-                k = model.kernel.profile_1d(u)
-                out[t0 : t0 + rows] += (k.prod(axis=2) if d > 1 else k[:, :, 0]).sum(axis=1)
-
-    tiles = -(-q // rows)
-    workers = min(_workers(), tiles, q * n // _POOL_CELLS)
-    if workers < 2:
-        fill(0, q)
-    else:
-        span = rows * max(1, tiles // (_SPANS_PER_WORKER * workers))
-        with ThreadPoolExecutor(workers) as pool:
-            for done in [pool.submit(fill, r0, min(r0 + span, q)) for r0 in range(0, q, span)]:
-                done.result()
+    scratch = np.empty(rows * min(step, n) * d)  # the scaled offsets of one tile
+    for j0 in range(0, n, step):
+        block = pts[j0 : j0 + step]
+        for t0 in range(0, q, rows):
+            tile = batch[t0 : t0 + rows]
+            u = scratch[: tile.shape[0] * block.shape[0] * d].reshape(tile.shape[0], -1, d)
+            np.subtract(tile[:, None, :], block[None, :, :], out=u)
+            u /= h
+            k = model.kernel.profile_1d(u)
+            out[t0 : t0 + rows] += (k.prod(axis=2) if d > 1 else k[:, :, 0]).sum(axis=1)
     out /= n * h**d
     return out
 

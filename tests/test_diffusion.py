@@ -234,7 +234,6 @@ class TestTrain:
         before = net.out_weights.copy()
         report = train(net, data, CFG, tau_steps=0, seed=5)
         assert np.array_equal(net.out_weights, before)
-        assert report.early_stopped is False
         assert report.steps_run == 0
 
     def test_hidden_layers_untouched(self):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -163,99 +162,16 @@ class TestTiledPdf:
         assert len(calls) == -(-50 // step) * -(-q // rows)
         assert max(shape[0] for shape in calls) == rows
 
-
-class TestThreadedPdf:
-    """Spans of whole tiles on a thread pool: the worker count changes no bit."""
-
-    @pytest.fixture
-    def set_workers(self, monkeypatch):
-        # the calls here are far below _POOL_CELLS; let every one reach the pool
-        monkeypatch.setattr(kernels, "_POOL_CELLS", 1)
-        return lambda count: monkeypatch.setattr(kernels, "_workers", lambda: count)
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
-        pool = kernels.ThreadPoolExecutor
-
-        def record(workers):
-            sizes.append(workers)
-            return pool(workers)
-
-        monkeypatch.setattr(kernels, "ThreadPoolExecutor", record)
-        return sizes
-
-    def test_small_call_runs_serially(self, monkeypatch, pool_sizes):
-        model, grid = model_and_grid(KernelSpec.gaussian(), 1, 1500, 4097)
-        monkeypatch.setattr(kernels, "_workers", lambda: 8)
-        assert grid.shape[0] * 1500 < kernels._POOL_CELLS
-        assert np.array_equal(kernels._exact_pdf(model, grid), untiled_pdf(model, grid))
-        assert pool_sizes == []
-
-    @pytest.mark.parametrize("per_worker, expected", [(3_000_000, 2), (2_000_000, 3)])
-    def test_one_worker_per_pool_cells(self, monkeypatch, pool_sizes, per_worker, expected):
-        model, grid = model_and_grid(KernelSpec.gaussian(), 1, 1500, 4097)  # 6.1e6 cells
-        monkeypatch.setattr(kernels, "_workers", lambda: 8)
-        monkeypatch.setattr(kernels, "_POOL_CELLS", per_worker)
-        assert np.array_equal(kernels._exact_pdf(model, grid), untiled_pdf(model, grid))
-        assert pool_sizes == [expected]
-
-    def test_one_cpu_runs_serially(self, monkeypatch, pool_sizes):
-        """A pool of one thread per usable CPU; under ``taskset -c 0``, none."""
-        model, grid = model_and_grid(KernelSpec.gaussian(), 1, 1500, 4097)
-        monkeypatch.setattr(kernels, "_POOL_CELLS", 1)
-        cpus = kernels._workers()
-        assert np.array_equal(kernels._exact_pdf(model, grid), untiled_pdf(model, grid))
-        assert pool_sizes == ([cpus] if cpus > 1 else [])
-
-    @pytest.mark.parametrize("kernel", ALL_KERNELS)
-    @pytest.mark.parametrize("d, nodes", [(1, 4097), (2, 65)])
-    def test_bit_identical_for_any_worker_count(self, set_workers, kernel, d, nodes):
-        model, grid = model_and_grid(kernel, d, 1500, nodes)
-        q = grid.shape[0]
-        rows = kernels._TILE_CELLS // (kernels._CHUNK_CELLS // q)
-        tiles = -(-q // rows)
-        set_workers(1)
-        serial = kernels._exact_pdf(model, grid)
-        for workers in (2, 3, 8):
-            span_tiles = tiles // (kernels._SPANS_PER_WORKER * workers)
-            assert span_tiles > 1 and tiles % span_tiles  # a short last span
-            set_workers(workers)
-            assert np.array_equal(kernels._exact_pdf(model, grid), serial), f"{workers} workers"
-
-    @pytest.mark.parametrize("workers", [2, 8])
     @pytest.mark.parametrize("q", [1, 2, 7])
-    def test_few_rows(self, set_workers, workers, q):
+    def test_few_rows(self, q):
         model, _ = model_and_grid(KernelSpec.gaussian(), 1, 300, 3)
         x = np.linspace(-3.0, 3.0, q)[:, None]
-        set_workers(workers)
         assert np.array_equal(kernels._exact_pdf(model, x), untiled_pdf(model, x))
 
-    def test_rows_within_one_tile(self, monkeypatch, set_workers):
+    def test_rows_within_one_tile(self, monkeypatch):
         model, grid = model_and_grid(KernelSpec.gaussian(), 1, 300, 101)
         monkeypatch.setattr(kernels, "_TILE_CELLS", 10**8)  # 101 rows < one tile
-        set_workers(8)
         assert np.array_equal(kernels._exact_pdf(model, grid), untiled_pdf(model, grid))
-
-    def test_no_thread_outlives_the_call(self, set_workers):
-        model, grid = model_and_grid(KernelSpec.gaussian(), 2, 1500, 65)
-        set_workers(8)
-        before = threading.active_count()
-        kernels._exact_pdf(model, grid)
-        assert threading.active_count() == before
-
-    def test_worker_exception_propagates(self, monkeypatch, set_workers):
-        model, grid = model_and_grid(KernelSpec.gaussian(), 1, 1500, 4097)
-
-        def fail(self, u):
-            raise FloatingPointError("profile failed")
-
-        monkeypatch.setattr(KernelSpec, "profile_1d", fail)
-        set_workers(2)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="profile failed"):
-            kernels._exact_pdf(model, grid)
-        assert threading.active_count() == before
 
 
 # the grid path's error bound, in units of the exact sum's own rounding at the
