@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -172,6 +173,34 @@ class TestTiledPdf:
         model, grid = model_and_grid(KernelSpec.gaussian(), 1, 300, 101)
         monkeypatch.setattr(kernels, "_TILE_CELLS", 10**8)  # 101 rows < one tile
         assert np.array_equal(kernels._exact_pdf(model, grid), untiled_pdf(model, grid))
+
+
+def concurrent_pdfs(model, x, workers):
+    """``_exact_pdf(model, x)`` from ``workers`` caller threads at once."""
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda _: kernels._exact_pdf(model, x), range(workers)))
+
+
+class TestThreadedPdf:
+    """The exact sum keeps no shared state: callers on threads get the serial bits."""
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("d, nodes", [(1, 4097), (2, 65)])
+    def test_bit_identical_for_any_worker_count(self, kernel, d, nodes):
+        model, grid = model_and_grid(kernel, d, 1500, nodes)
+        serial = kernels._exact_pdf(model, grid)
+        for workers in (2, 3, 8):
+            for value in concurrent_pdfs(model, grid, workers):
+                assert np.array_equal(value, serial), f"{workers} workers"
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    @pytest.mark.parametrize("q", [1, 2, 7])
+    def test_few_rows(self, workers, q):
+        model, _ = model_and_grid(KernelSpec.gaussian(), 1, 300, 3)
+        x = np.linspace(-3.0, 3.0, q)[:, None]
+        expected = untiled_pdf(model, x)
+        for value in concurrent_pdfs(model, x, workers):
+            assert np.array_equal(value, expected)
 
 
 # the grid path's error bound, in units of the exact sum's own rounding at the
