@@ -56,6 +56,8 @@ def embed_time(t, embed_dim: int, horizon: float) -> np.ndarray:
 
 # cap on the hidden-activation block (points x width) built per dense evaluation pass
 _CHUNK_CELLS = 4_000_000
+# cap on the 1-d score table cells (steps x (width + 1)) reverse_sample builds at once
+_TABLE_CELLS = 16_384
 
 
 @dataclass
@@ -94,13 +96,13 @@ class ScoreNet:
         """Score estimate at points ``x`` and time(s) ``t``, shape (q, d).
 
         In one dimension at a shared time the score is piecewise linear in x
-        and is evaluated exactly from its sorted kinks; every other call
-        forms the hidden activations in row blocks of at most
+        and is evaluated exactly from a one-row ``tables_1d``; every other
+        call forms the hidden activations in row blocks of at most
         ``_CHUNK_CELLS`` cells.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.dim == 1 and x.shape[1] == 1 and np.ndim(t) == 0:
-            return self._evaluate_1d(x[:, 0], t, horizon)
+            return self.lookup_1d(self.tables_1d([t], horizon), 0, x[:, 0])[:, None]
         t = np.asarray(t, dtype=float)
         out = np.empty((x.shape[0], self.dim))
         step = max(1, _CHUNK_CELLS // self.width)
@@ -110,31 +112,45 @@ class ScoreNet:
             out[rows] = phi @ self.out_weights.T / self.width
         return out
 
-    def _evaluate_1d(self, x: np.ndarray, t: float, horizon: float) -> np.ndarray:
-        """Exact score for d = 1 at one time t, in O((q + m) log m).
+    def tables_1d(self, ts, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+        """Exact d = 1 score tables at each time in ``ts``, in O(len(ts) m log m).
 
         s(x) = (1/m) sum_j a_j relu(w_j x + b_j) has its kinks at -b_j / w_j.
         A unit with w_j > 0 is active right of its kink, so it enters a
         prefix sum over the sorted kinks; one with w_j < 0 is active left of
         it and enters a suffix sum; one with w_j = 0 adds a_j relu(b_j)
-        everywhere. The tables are rebuilt on every call and not kept.
+        everywhere. Returns the sorted kinks, shape (len(ts), K), and
+        ``table`` of shape (2, len(ts), K + 1), where ``table[:, r, i]`` is
+        the active (slope, intercept) at time ``ts[r]`` between kinks i-1
+        and i. Row r is bit-identical to a one-row call at ``ts[r]``.
         """
         a = self.out_weights[0]
         w = self.in_weights[:, 0]
-        b = self.time_weights @ embed_time(t, self.embed_dim, horizon)[0]
+        # one matvec per time: the matrix product E @ time_weights.T rounds differently
+        e = embed_time(ts, self.embed_dim, horizon)
+        b = np.stack([self.time_weights @ e_r for e_r in e])
         flat = w == 0.0
-        a_k, w_k, b_k = a[~flat], w[~flat], b[~flat]
+        # compress keeps rows contiguous; b[:, mask] is column-major and a dot over
+        # its strided rows rounds differently
+        a_k, w_k, b_k = a[~flat], w[~flat], np.compress(~flat, b, axis=1)
         kinks = -b_k / w_k
-        order = np.argsort(kinks)
+        order = np.argsort(kinks, axis=1)
         right = (w_k > 0.0)[order]
-        terms = np.stack([a_k * w_k, a_k * b_k])[:, order]
-        # table[:, i] holds the active (slope, intercept) between kinks i-1 and i
-        table = np.zeros((2, kinks.size + 1))
-        np.cumsum(np.where(right, terms, 0.0), axis=1, out=table[:, 1:])
-        table[:, :-1] += np.cumsum(np.where(right, 0.0, terms)[:, ::-1], axis=1)[:, ::-1]
-        table[1] += a[flat] @ np.maximum(b[flat], 0.0)
-        idx = np.searchsorted(kinks[order], x)
-        return ((table[0, idx] * x + table[1, idx]) / self.width)[:, None]
+        terms = np.stack([(a_k * w_k)[order], np.take_along_axis(a_k * b_k, order, axis=1)])
+        rows, k = kinks.shape
+        table = np.zeros((2, rows, k + 1))
+        np.cumsum(np.where(right, terms, 0.0), axis=2, out=table[:, :, 1:])
+        suffix = np.cumsum(np.where(right, 0.0, terms)[:, :, ::-1], axis=2)
+        table[:, :, :-1] += suffix[:, :, ::-1]
+        a_0, relu_0 = a[flat], np.maximum(np.compress(flat, b, axis=1), 0.0)
+        table[1] += np.array([[a_0 @ r] for r in relu_0])  # one dot per time, as above
+        return np.take_along_axis(kinks, order, axis=1), table
+
+    def lookup_1d(self, tables, r: int, x: np.ndarray) -> np.ndarray:
+        """Score at the 1-d points ``x`` from row ``r`` of ``tables_1d``, shape (q,)."""
+        kinks, table = tables
+        idx = np.searchsorted(kinks[r], x)
+        return (table[0, r, idx] * x + table[1, r, idx]) / self.width
 
     def rkhs_norm_sq(self) -> float:
         """Empirical squared norm of the represented function: ||A||_F^2 / m."""
@@ -325,7 +341,10 @@ def reverse_sample(score, cfg: DiffusionConfig, n: int, seed: int) -> SampleSet:
     ``score`` is a trained network or any object with a ``dim`` and an
     ``evaluate(x, t, horizon)`` method (e.g. the analytic Gaussian score).
     Runs on the uniform grid from the horizon down to t_min; a non-finite
-    state aborts with the offending step named.
+    state aborts with the offending step named. A 1-d ``ScoreNet`` builds
+    its ``tables_1d`` for a block of steps at a time, at most
+    ``_TABLE_CELLS`` table cells, and answers each step by lookup; the
+    draws are bit-identical to a per-step ``evaluate``.
     """
     dim = score.dim
     rng = np.random.default_rng(seed)
@@ -334,15 +353,23 @@ def reverse_sample(score, cfg: DiffusionConfig, n: int, seed: int) -> SampleSet:
     dt = (cfg.horizon - cfg.t_min) / steps
     x = rng.standard_normal((n, dim))
     sqrt_dt = math.sqrt(dt)
-    for k in range(steps):
-        t = ts[k]
-        s = score.evaluate(x, t, cfg.horizon)
-        with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
-            x = x + (0.5 * x + s) * dt + sqrt_dt * rng.standard_normal((n, dim))
-        if not np.isfinite(x).all():
-            raise RuntimeError(
-                f"non-finite state at reverse step {k + 1} (t = {ts[k + 1]:.6g})"
-            )
+    tabled = isinstance(score, ScoreNet) and dim == 1
+    block = max(1, _TABLE_CELLS // (score.width + 1)) if tabled else steps
+    for k0 in range(0, steps, block):
+        k1 = min(k0 + block, steps)
+        if tabled:
+            tables = score.tables_1d(ts[k0:k1], cfg.horizon)
+        for k in range(k0, k1):
+            with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
+                if tabled:
+                    s = score.lookup_1d(tables, k - k0, x[:, 0])[:, None]
+                else:
+                    s = score.evaluate(x, ts[k], cfg.horizon)
+                x = x + (0.5 * x + s) * dt + sqrt_dt * rng.standard_normal((n, dim))
+            if not np.isfinite(x).all():
+                raise RuntimeError(
+                    f"non-finite state at reverse step {k + 1} (t = {ts[k + 1]:.6g})"
+                )
     return SampleSet(x, seed)
 
 

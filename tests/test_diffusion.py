@@ -332,7 +332,89 @@ class TestAnalyticScore:
         assert v == pytest.approx(0.0, abs=1e-12)  # x equals the decayed mean 0.5
 
 
+def per_step_oracle(net, cfg: DiffusionConfig, n: int, seed: int):
+    """The reverse chain with one ``evaluate`` per step; returns the final state, or
+    the step at which the state first went non-finite."""
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(cfg.horizon, cfg.t_min, cfg.reverse_steps + 1)
+    dt = (cfg.horizon - cfg.t_min) / cfg.reverse_steps
+    x = rng.standard_normal((n, 1))
+    for k in range(cfg.reverse_steps):
+        s = net.evaluate(x, ts[k], cfg.horizon)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x + (0.5 * x + s) * dt + math.sqrt(dt) * rng.standard_normal((n, 1))
+        if not np.isfinite(x).all():
+            return k + 1
+    return x
+
+
+@pytest.fixture(scope="module")
+def trained_nets():
+    """Trained 1-d nets: plain, and one whose every fourth unit is flat (w_j = 0)."""
+    plain = init_scorenet(200, 1, 8, 4)
+    train(plain, Gauss1D(0.5, 0.8).sample(200, 3), CFG, seed=5)
+    flat = init_scorenet(40, 1, 4, 6)
+    flat.in_weights[::4] = 0.0
+    train(flat, Gauss1D(-1.0, 1.5).sample(64, 7), CFG, seed=8)
+    return {"plain": plain, "flat": flat}
+
+
+def count_tables(monkeypatch) -> list:
+    """Record the number of times of each ``ScoreNet.tables_1d`` call."""
+    rows = []
+    tables_1d = ScoreNet.tables_1d
+    monkeypatch.setattr(
+        ScoreNet,
+        "tables_1d",
+        lambda self, ts, horizon: rows.append(len(ts)) or tables_1d(self, ts, horizon),
+    )
+    return rows
+
+
 class TestReverseSample:
+    @pytest.mark.parametrize("kind", ["plain", "flat"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_tabled_matches_per_step_evaluate(self, trained_nets, kind, n):
+        net = trained_nets[kind]
+        cfg = DiffusionConfig(reverse_steps=101)
+        assert cfg.reverse_steps % (diffusion._TABLE_CELLS // (net.width + 1))
+        got = reverse_sample(net, cfg, n, 11).points
+        assert got.shape == (n, 1)
+        assert np.array_equal(got, per_step_oracle(net, cfg, n, 11))
+
+    @pytest.mark.parametrize("kind", ["plain", "flat"])
+    def test_many_blocks_match_per_step_evaluate(self, trained_nets, monkeypatch, kind):
+        net = trained_nets[kind]
+        monkeypatch.setattr(diffusion, "_TABLE_CELLS", 3 * (net.width + 1) + 2)
+        rows = count_tables(monkeypatch)
+        cfg = DiffusionConfig(reverse_steps=100)
+        got = reverse_sample(net, cfg, 7, 12).points
+        assert rows == [3] * 33 + [1]
+        assert np.array_equal(got, per_step_oracle(net, cfg, 7, 12))
+
+    @pytest.mark.parametrize("kind", ["plain", "flat"])
+    def test_tables_over_many_times_match_one_time_builds(self, trained_nets, kind):
+        net = trained_nets[kind]
+        ts = np.linspace(CFG.horizon, CFG.t_min, 77)
+        kinks, table = net.tables_1d(ts, CFG.horizon)
+        assert table.shape == (2, ts.size, kinks.shape[1] + 1)
+        for r, t in enumerate(ts):
+            one_kinks, one_table = net.tables_1d([t], CFG.horizon)
+            assert np.array_equal(kinks[r], one_kinks[0])
+            assert np.array_equal(table[:, r], one_table[:, 0])
+
+    @pytest.mark.parametrize("scale", [1e6, 1e20])
+    def test_tabled_blow_up_names_oracle_step(self, monkeypatch, scale):
+        net = init_scorenet(40, 1, 8, 4)
+        net.out_weights[...] = scale
+        monkeypatch.setattr(diffusion, "_TABLE_CELLS", 3 * (net.width + 1))
+        cfg = DiffusionConfig(reverse_steps=100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = per_step_oracle(net, cfg, 7, 3)
+        assert isinstance(step, int)
+        with pytest.raises(RuntimeError, match=rf"non-finite state at reverse step {step} "):
+            reverse_sample(net, cfg, 7, 3)
+
     def test_moments_with_analytic_score(self):
         s = reverse_sample(gauss_score_model(0, 1), CFG, 10**4, 3)
         assert abs(s.points.mean()) < 0.03
