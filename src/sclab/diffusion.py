@@ -360,11 +360,11 @@ def reverse_sample(score, cfg: DiffusionConfig, n: int, seed: int) -> SampleSet:
         if tabled:
             tables = score.tables_1d(ts[k0:k1], cfg.horizon)
         for k in range(k0, k1):
+            if tabled:
+                s = score.lookup_1d(tables, k - k0, x[:, 0])[:, None]
+            else:
+                s = score.evaluate(x, ts[k], cfg.horizon)
             with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
-                if tabled:
-                    s = score.lookup_1d(tables, k - k0, x[:, 0])[:, None]
-                else:
-                    s = score.evaluate(x, ts[k], cfg.horizon)
                 x = x + (0.5 * x + s) * dt + sqrt_dt * rng.standard_normal((n, dim))
             if not np.isfinite(x).all():
                 raise RuntimeError(

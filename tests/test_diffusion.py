@@ -332,15 +332,35 @@ class TestAnalyticScore:
         assert v == pytest.approx(0.0, abs=1e-12)  # x equals the decayed mean 0.5
 
 
+def single_time_score_1d(net, x: np.ndarray, t: float, horizon: float) -> np.ndarray:
+    """Exact 1-d score at one time from its own sorted kinks, built as the sampler
+    built it once per step before the tables were shared across steps; shape (q,)."""
+    a = net.out_weights[0]
+    w = net.in_weights[:, 0]
+    b = net.time_weights @ embed_time(t, net.embed_dim, horizon)[0]
+    flat = w == 0.0
+    a_k, w_k, b_k = a[~flat], w[~flat], b[~flat]
+    kinks = -b_k / w_k
+    order = np.argsort(kinks)
+    right = (w_k > 0.0)[order]
+    terms = np.stack([a_k * w_k, a_k * b_k])[:, order]
+    table = np.zeros((2, kinks.size + 1))
+    np.cumsum(np.where(right, terms, 0.0), axis=1, out=table[:, 1:])
+    table[:, :-1] += np.cumsum(np.where(right, 0.0, terms)[:, ::-1], axis=1)[:, ::-1]
+    table[1] += a[flat] @ np.maximum(b[flat], 0.0)
+    idx = np.searchsorted(kinks[order], x)
+    return (table[0, idx] * x + table[1, idx]) / net.width
+
+
 def per_step_oracle(net, cfg: DiffusionConfig, n: int, seed: int):
-    """The reverse chain with one ``evaluate`` per step; returns the final state, or
-    the step at which the state first went non-finite."""
+    """The reverse chain with one single-time score build per step; returns the final
+    state, or the step at which the state first went non-finite."""
     rng = np.random.default_rng(seed)
     ts = np.linspace(cfg.horizon, cfg.t_min, cfg.reverse_steps + 1)
     dt = (cfg.horizon - cfg.t_min) / cfg.reverse_steps
     x = rng.standard_normal((n, 1))
     for k in range(cfg.reverse_steps):
-        s = net.evaluate(x, ts[k], cfg.horizon)
+        s = single_time_score_1d(net, x[:, 0], ts[k], cfg.horizon)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             x = x + (0.5 * x + s) * dt + math.sqrt(dt) * rng.standard_normal((n, 1))
         if not np.isfinite(x).all():
@@ -374,7 +394,7 @@ def count_tables(monkeypatch) -> list:
 class TestReverseSample:
     @pytest.mark.parametrize("kind", ["plain", "flat"])
     @pytest.mark.parametrize("n", [0, 1, 7, 300])
-    def test_tabled_matches_per_step_evaluate(self, trained_nets, kind, n):
+    def test_tabled_matches_per_step_build(self, trained_nets, kind, n):
         net = trained_nets[kind]
         cfg = DiffusionConfig(reverse_steps=101)
         assert cfg.reverse_steps % (diffusion._TABLE_CELLS // (net.width + 1))
@@ -383,7 +403,7 @@ class TestReverseSample:
         assert np.array_equal(got, per_step_oracle(net, cfg, n, 11))
 
     @pytest.mark.parametrize("kind", ["plain", "flat"])
-    def test_many_blocks_match_per_step_evaluate(self, trained_nets, monkeypatch, kind):
+    def test_many_blocks_match_per_step_build(self, trained_nets, monkeypatch, kind):
         net = trained_nets[kind]
         monkeypatch.setattr(diffusion, "_TABLE_CELLS", 3 * (net.width + 1) + 2)
         rows = count_tables(monkeypatch)
@@ -402,6 +422,17 @@ class TestReverseSample:
             one_kinks, one_table = net.tables_1d([t], CFG.horizon)
             assert np.array_equal(kinks[r], one_kinks[0])
             assert np.array_equal(table[:, r], one_table[:, 0])
+
+    @pytest.mark.parametrize("kind", ["plain", "flat"])
+    def test_tables_match_single_time_build(self, trained_nets, kind):
+        net = trained_nets[kind]
+        ts = np.linspace(CFG.horizon, CFG.t_min, 9)
+        x = np.concatenate([np.linspace(-6.0, 6.0, 301), [0.0, -0.0]])
+        tables = net.tables_1d(ts, CFG.horizon)
+        for r, t in enumerate(ts):
+            want = single_time_score_1d(net, x, t, CFG.horizon)
+            assert np.array_equal(net.lookup_1d(tables, r, x), want)
+            assert np.array_equal(net.evaluate(x[:, None], t, CFG.horizon)[:, 0], want)
 
     @pytest.mark.parametrize("scale", [1e6, 1e20])
     def test_tabled_blow_up_names_oracle_step(self, monkeypatch, scale):

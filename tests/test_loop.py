@@ -304,14 +304,25 @@ class TestDiffusionLoop:
             eval_samples=500,
         )
         fast = run_loop(cfg, 0)
-        monkeypatch.setattr(
-            ScoreNet,
-            "evaluate",
-            lambda self, x, t, horizon: self.features(x, t, horizon)
-            @ self.out_weights.T
-            / self.width,
-        )
+
+        def dense_score(net, x, t, horizon):
+            return net.features(x, t, horizon) @ net.out_weights.T / net.width
+
+        # the sampler's 1-d tables become (times, horizon) and each lookup is dense
+        lookups = []
+
+        def dense_lookup(net, tables, r, x):
+            lookups.append(r)
+            ts, horizon = tables
+            return dense_score(net, x[:, None], ts[r], horizon)[:, 0]
+
+        monkeypatch.setattr(ScoreNet, "evaluate", dense_score)
+        monkeypatch.setattr(ScoreNet, "tables_1d", lambda net, ts, horizon: (ts, horizon))
+        monkeypatch.setattr(ScoreNet, "lookup_1d", dense_lookup)
         dense = run_loop(cfg, 0)
+        # nine sampler runs: one TV draw per generation, and models 1 and 2 drawn
+        # for generations 2 and 3 in both the training data and the mixture reference
+        assert len(lookups) == 9 * DiffusionConfig().reverse_steps
         for f, d in zip(fast.records, dense.records, strict=True):
             assert (f.n_real, f.n_synth) == (d.n_real, d.n_synth)
             gap = abs(f.tv_to_p0.value - d.tv_to_p0.value)
