@@ -16,7 +16,7 @@ taking CPU from the single-threaded reverse sampler that follows training.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,8 +56,10 @@ def embed_time(t, embed_dim: int, horizon: float) -> np.ndarray:
 
 # cap on the hidden-activation block (points x width) built per dense evaluation pass
 _CHUNK_CELLS = 4_000_000
-# cap on the 1-d score table cells (steps x (width + 1)) reverse_sample builds at once
+# cap on the 1-d score table cells (steps x (width + 1)) a reverse pass builds at once
 _TABLE_CELLS = 16_384
+# cap on the chains one lockstep reverse pass advances together (a larger request runs alone)
+_PASS_POINTS = 16_384
 
 
 @dataclass
@@ -130,9 +132,12 @@ class ScoreNet:
         e = embed_time(ts, self.embed_dim, horizon)
         b = np.stack([self.time_weights @ e_r for e_r in e])
         flat = w == 0.0
-        # compress keeps rows contiguous; b[:, mask] is column-major and a dot over
-        # its strided rows rounds differently
-        a_k, w_k, b_k = a[~flat], w[~flat], np.compress(~flat, b, axis=1)
+        has_flat = flat.any()
+        a_k, w_k, b_k = a, w, b
+        if has_flat:
+            # compress keeps rows contiguous; b[:, mask] is column-major and a dot
+            # over its strided rows rounds differently
+            a_k, w_k, b_k = a[~flat], w[~flat], np.compress(~flat, b, axis=1)
         kinks = -b_k / w_k
         order = np.argsort(kinks, axis=1)
         right = (w_k > 0.0)[order]
@@ -142,14 +147,24 @@ class ScoreNet:
         np.cumsum(np.where(right, terms, 0.0), axis=2, out=table[:, :, 1:])
         suffix = np.cumsum(np.where(right, 0.0, terms)[:, :, ::-1], axis=2)
         table[:, :, :-1] += suffix[:, :, ::-1]
-        a_0, relu_0 = a[flat], np.maximum(np.compress(flat, b, axis=1), 0.0)
-        table[1] += np.array([[a_0 @ r] for r in relu_0])  # one dot per time, as above
+        if has_flat:
+            a_0, relu_0 = a[flat], np.maximum(np.compress(flat, b, axis=1), 0.0)
+            table[1] += np.array([[a_0 @ r] for r in relu_0])  # one dot per time, as above
+        else:
+            table[1] += 0.0  # what an empty dot adds: -0.0 intercepts become +0.0
         return np.take_along_axis(kinks, order, axis=1), table
 
     def lookup_1d(self, tables, r: int, x: np.ndarray) -> np.ndarray:
-        """Score at the 1-d points ``x`` from row ``r`` of ``tables_1d``, shape (q,)."""
+        """Score at the 1-d points ``x`` from row ``r`` of ``tables_1d``, shape (q,).
+
+        The points are searched in sorted order and the kink indices scattered
+        back: on fresh reverse-chain states a search over unsorted keys is
+        bound by branch misses, and each point's index is the same either way.
+        """
         kinks, table = tables
-        idx = np.searchsorted(kinks[r], x)
+        order = np.argsort(x)
+        idx = np.empty(x.shape, dtype=np.intp)
+        idx[order] = np.searchsorted(kinks[r], x[order])
         return (table[0, r, idx] * x + table[1, r, idx]) / self.width
 
     def rkhs_norm_sq(self) -> float:
@@ -335,54 +350,168 @@ def gauss_score_model(mu0: float, sigma0: float, dim: int = 1) -> _AnalyticGauss
     return _AnalyticGaussScore(mu0, sigma0, dim)
 
 
+def _reverse_grid(cfg: DiffusionConfig) -> tuple[np.ndarray, float]:
+    """The reverse times, from the horizon down to t_min, and the step length."""
+    ts = np.linspace(cfg.horizon, cfg.t_min, cfg.reverse_steps + 1)
+    return ts, (cfg.horizon - cfg.t_min) / cfg.reverse_steps
+
+
+def _blow_up(ts: np.ndarray, k: int) -> RuntimeError:
+    return RuntimeError(f"non-finite state at reverse step {k + 1} (t = {ts[k + 1]:.6g})")
+
+
+def _lockstep_1d(net: ScoreNet, cfg: DiffusionConfig, requests) -> list:
+    """One lockstep reverse pass of a 1-d ``ScoreNet`` over every ``(n, seed)``.
+
+    The chains of all requests advance together: ``tables_1d`` once per
+    block of at most ``_TABLE_CELLS`` cells, one ``lookup_1d`` per step, and
+    each request's prior and noise drawn from its own generator, in the order
+    a lone ``reverse_sample`` draws them. A request whose state goes
+    non-finite leaves the pass at that step with its error; the others go on.
+    """
+    ts, dt = _reverse_grid(cfg)
+    sqrt_dt = math.sqrt(dt)
+    rngs = [np.random.default_rng(seed) for _, seed in requests]
+    x = np.concatenate([rng.standard_normal((n, 1)) for rng, (n, _) in zip(rngs, requests)])
+    x = x[:, 0]
+    edges = np.cumsum([0] + [n for n, _ in requests])
+    live = [(i, edges[i], edges[i + 1]) for i in range(len(requests)) if edges[i + 1] > edges[i]]
+    results: list = [SampleSet(x[:0].copy(), seed) for _, seed in requests]  # kept if n = 0
+    if not live:
+        return results
+    noise = np.empty_like(x)
+    block = max(1, _TABLE_CELLS // (net.width + 1))
+    for k0 in range(0, cfg.reverse_steps, block):
+        k1 = min(k0 + block, cfg.reverse_steps)
+        tables = net.tables_1d(ts[k0:k1], cfg.horizon)
+        for k in range(k0, k1):
+            s = net.lookup_1d(tables, k - k0, x)
+            for i, a, b in live:
+                rngs[i].standard_normal(out=noise[a:b])
+            with np.errstate(over="ignore", invalid="ignore"):  # blow-ups leave below
+                x = x + (0.5 * x + s) * dt + sqrt_dt * noise
+            if not np.isfinite(x).all():
+                x, noise, live = _drop_blown_up(x, live, results, _blow_up(ts, k))
+                if not live:
+                    return results
+    for i, a, b in live:
+        results[i] = SampleSet(x[a:b].copy(), requests[i][1])
+    return results
+
+
+def _drop_blown_up(x: np.ndarray, live: list, results: list, error: RuntimeError):
+    """Record ``error`` for each live request with a non-finite chain and
+    compact the pass to the rest."""
+    finite = np.isfinite(x)
+    keep, kept, start = [], [], 0
+    for i, a, b in live:
+        if finite[a:b].all():
+            keep.append(slice(a, b))
+            kept.append((i, start, start + b - a))
+            start += b - a
+        else:
+            results[i] = error
+    x = np.concatenate([x[sl] for sl in keep]) if keep else x[:0]
+    return x, np.empty_like(x), kept
+
+
+def reverse_sample_many(score, cfg: DiffusionConfig, requests: list[tuple[int, int]]) -> list:
+    """Every ``(n, seed)`` request of ``reverse_sample`` from as few passes as possible.
+
+    Returns one entry per request, in order: the ``SampleSet`` that
+    ``reverse_sample(score, cfg, n, seed)`` returns, or the ``RuntimeError``
+    it raises for that request alone, naming the same step. A 1-d
+    ``ScoreNet`` runs its requests in lockstep passes of at most
+    ``_PASS_POINTS`` chains (a larger request runs alone); every other score
+    object runs one ``reverse_sample`` per request, because dense rounding
+    can depend on the shape of the row block.
+    """
+    if not (isinstance(score, ScoreNet) and score.dim == 1):
+        results = []
+        for n, seed in requests:
+            try:
+                results.append(reverse_sample(score, cfg, n, seed))
+            except RuntimeError as exc:
+                results.append(exc)
+        return results
+    results, group, points = [], [], 0
+    for n, seed in requests:
+        if group and points + n > _PASS_POINTS:
+            results += _lockstep_1d(score, cfg, group)
+            group, points = [], 0
+        group.append((n, seed))
+        points += n
+    return results + (_lockstep_1d(score, cfg, group) if group else [])
+
+
 def reverse_sample(score, cfg: DiffusionConfig, n: int, seed: int) -> SampleSet:
     """Euler-Maruyama integration of the reverse-time SDE from the N(0, I) prior.
 
     ``score`` is a trained network or any object with a ``dim`` and an
     ``evaluate(x, t, horizon)`` method (e.g. the analytic Gaussian score).
     Runs on the uniform grid from the horizon down to t_min; a non-finite
-    state aborts with the offending step named. A 1-d ``ScoreNet`` builds
-    its ``tables_1d`` for a block of steps at a time, at most
-    ``_TABLE_CELLS`` table cells, and answers each step by lookup; the
-    draws are bit-identical to a per-step ``evaluate``.
+    state aborts with the offending step named. A 1-d ``ScoreNet`` runs the
+    one-request case of the lockstep pass of ``reverse_sample_many``: score
+    tables per block of steps, answered by lookup, bit-identical to a
+    per-step ``evaluate``. Every other score object is evaluated per step.
     """
+    if isinstance(score, ScoreNet) and score.dim == 1:
+        (result,) = _lockstep_1d(score, cfg, [(n, seed)])
+        if isinstance(result, RuntimeError):
+            raise result
+        return result
     dim = score.dim
     rng = np.random.default_rng(seed)
-    steps = cfg.reverse_steps
-    ts = np.linspace(cfg.horizon, cfg.t_min, steps + 1)
-    dt = (cfg.horizon - cfg.t_min) / steps
+    ts, dt = _reverse_grid(cfg)
     x = rng.standard_normal((n, dim))
     sqrt_dt = math.sqrt(dt)
-    tabled = isinstance(score, ScoreNet) and dim == 1
-    block = max(1, _TABLE_CELLS // (score.width + 1)) if tabled else steps
-    for k0 in range(0, steps, block):
-        k1 = min(k0 + block, steps)
-        if tabled:
-            tables = score.tables_1d(ts[k0:k1], cfg.horizon)
-        for k in range(k0, k1):
-            if tabled:
-                s = score.lookup_1d(tables, k - k0, x[:, 0])[:, None]
-            else:
-                s = score.evaluate(x, ts[k], cfg.horizon)
-            with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
-                x = x + (0.5 * x + s) * dt + sqrt_dt * rng.standard_normal((n, dim))
-            if not np.isfinite(x).all():
-                raise RuntimeError(
-                    f"non-finite state at reverse step {k + 1} (t = {ts[k + 1]:.6g})"
-                )
+    for k in range(cfg.reverse_steps):
+        s = score.evaluate(x, ts[k], cfg.horizon)
+        with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
+            x = x + (0.5 * x + s) * dt + sqrt_dt * rng.standard_normal((n, dim))
+        if not np.isfinite(x).all():
+            raise _blow_up(ts, k)
     return SampleSet(x, seed)
+
+
+def draw_seed(rng: np.random.Generator) -> int:
+    """The ``reverse_sample`` seed a model draw takes from its caller's generator."""
+    return int(rng.integers(0, 2**63))
 
 
 @dataclass(frozen=True)
 class DiffusionModel:
-    """A trained score net with the sampler settings it was trained under."""
+    """A trained score net with the sampler settings it was trained under.
+
+    ``pool`` holds draws served ahead of time by ``serve``, keyed by
+    ``(n, seed)``: each is the ``SampleSet`` or the ``RuntimeError`` of that
+    ``reverse_sample`` call, and is removed when it is drawn.
+    """
 
     net: ScoreNet
     cfg: DiffusionConfig
+    pool: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def serve(self, requests: list[tuple[int, int]]) -> None:
+        """Run the ``(n, seed)`` requests in one ``reverse_sample_many`` and pool them."""
+        for key, result in zip(requests, reverse_sample_many(self.net, self.cfg, requests)):
+            self.pool.setdefault(key, []).append(result)
+
+    def sample(self, n: int, seed: int) -> SampleSet:
+        """``reverse_sample(net, cfg, n, seed)``, taken from the pool when served."""
+        served = self.pool.get((n, seed))
+        if not served:
+            return reverse_sample(self.net, self.cfg, n, seed)
+        result = served.pop()
+        if not served:
+            del self.pool[(n, seed)]
+        if isinstance(result, RuntimeError):
+            raise result
+        return result
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` reverse-SDE draws, seeded from ``rng``."""
-        return reverse_sample(self.net, self.cfg, n, int(rng.integers(0, 2**63))).points
+        return self.sample(n, draw_seed(rng)).points
 
 
 def prior_kl_gauss(mu0: float, sigma0: float, cfg: DiffusionConfig) -> float:

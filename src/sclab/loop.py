@@ -49,9 +49,10 @@ class KdeGenerator:
         model = kernels.fit(data, self.kernel)
         return model, {"bandwidth": model.bandwidth}, None
 
-    def measurement(self, cfg: "LoopConfig"):
+    def measurement(self, cfg: "LoopConfig", seeds):
         """Per-run TV to p0 and to the previous mixture on one quadrature grid,
-        each kept model evaluated on it once."""
+        each kept model evaluated on it once; the replicate's ``seeds`` are
+        not needed."""
         p0, box, nodes = cfg.p0, cfg.p0.support_hint, cfg.eval_nodes
         memo = _GridMemo()
 
@@ -105,19 +106,30 @@ class DiffusionGenerator:
         )
         return diffusion.DiffusionModel(net, self.cfg), diagnostics, kl_prior
 
-    def measurement(self, cfg: "LoopConfig"):
+    def measurement(self, cfg: "LoopConfig", seeds):
         """Per-run TV by histograms: each model's draw against one reference
-        draw of p0, and against a draw of the previous mixture."""
+        draw of p0, and against a draw of the previous mixture.
+
+        Every reverse-SDE draw of the replicate (seed block ``seeds``) is
+        planned here, so each model serves all of its draws from one batched
+        pass, run when it is first measured, before any of them is drawn: its
+        TV draw and its share of every later training and reference mixture.
+        The plan replays those ``sample_mixture`` calls with recording
+        components, which draws the real component a second time (a few
+        hundred normals per generation).
+        """
         p0, box, n = cfg.p0, cfg.p0.support_hint, cfg.eval_samples
-        seeds = _eval_seeds(cfg.base_seed, cfg.max_generation)
-        ref = p0.sample(n, int(seeds[0]))
+        eval_seeds = _eval_seeds(cfg.base_seed, cfg.max_generation)
+        ref = p0.sample(n, int(eval_seeds[0]))
+        plan = _plan_draws(cfg, seeds, eval_seeds)
 
         def measure(g, model, weights, models):
-            model_pts = diffusion.reverse_sample(model.net, self.cfg, n, int(seeds[g]))
+            model.serve(plan.pop(g))
+            model_pts = model.sample(n, int(eval_seeds[g]))
             tv0 = tv_histogram(model_pts, ref, box=box)
             if g == 1:
                 return tv0, tv0
-            mix_seed = int(seeds[cfg.max_generation + g])
+            mix_seed = int(eval_seeds[cfg.max_generation + g])
             mix_pts = sample_mixture(p0, _draws(models, g), weights, n, mix_seed)
             return tv0, tv_histogram(model_pts, mix_pts, box=box)
 
@@ -283,6 +295,35 @@ class _GridMemo:
         return pdf
 
 
+def _plan_draws(cfg: LoopConfig, seeds: np.ndarray, eval_seeds: np.ndarray) -> dict:
+    """Every ``(n, seed)`` reverse-SDE draw of a diffusion replicate, by model.
+
+    Model g is drawn once for its TV to p0, and by each later generation's
+    training mixture and reference mixture, with the kept-model pruning of
+    ``run_loop``. Each mixture is replayed with recording components: the
+    labels and seeds depend only on the mixture's own seed, not on the
+    points drawn.
+    """
+    n_eval, last = cfg.eval_samples, cfg.max_generation
+    plan = {g: [(n_eval, int(eval_seeds[g]))] for g in range(1, last + 1)}
+
+    def recorder(k):
+        def draw(c, rng):
+            plan[k].append((c, diffusion.draw_seed(rng)))
+            return np.zeros((c, cfg.p0.dim))
+
+        return draw
+
+    sizes = cfg.resolved_sizes()
+    for g in range(2, last + 1):
+        kept = range(1, g) if cfg.schedule.needs_history else (g - 1,)
+        components = [recorder(k) if k in kept else None for k in range(1, g)]
+        weights = cfg.schedule.weights_at(g - 1)
+        sample_mixture(cfg.p0, components, weights, sizes[g - 1], int(seeds[g - 1, 0]))
+        sample_mixture(cfg.p0, components, weights, n_eval, int(eval_seeds[last + g]))
+    return plan
+
+
 def _draws(models: dict, g: int) -> list:
     """Mixture components for models 1..g-1; pruned models carry no sampler."""
     return [models[k].draw if k in models else None for k in range(1, g)]
@@ -295,7 +336,7 @@ def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
     sizes = cfg.resolved_sizes()
     replicate_seed = cfg.base_seed + replicate
     seeds = _gen_seeds(replicate_seed, cfg.max_generation)
-    measure = gen.measurement(cfg)
+    measure = gen.measurement(cfg, seeds)
     models: dict = {}  # retained fitted models, keyed by model index
     records: list[GenerationRecord] = []
     kl_history: list[float] = []

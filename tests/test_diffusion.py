@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sclab import diffusion
 from sclab.diffusion import (
     DiffusionConfig,
+    DiffusionModel,
     ScoreNet,
     TrainingDivergence,
     analytic_score_gauss,
@@ -18,6 +19,7 @@ from sclab.diffusion import (
     init_scorenet,
     prior_kl_gauss,
     reverse_sample,
+    reverse_sample_many,
     train,
 )
 from sclab.distributions import Gauss1D, SampleSet
@@ -332,9 +334,9 @@ class TestAnalyticScore:
         assert v == pytest.approx(0.0, abs=1e-12)  # x equals the decayed mean 0.5
 
 
-def single_time_score_1d(net, x: np.ndarray, t: float, horizon: float) -> np.ndarray:
-    """Exact 1-d score at one time from its own sorted kinks, built as the sampler
-    built it once per step before the tables were shared across steps; shape (q,)."""
+def single_time_table(net, t: float, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted kinks and (2, K + 1) slope/intercept table at one time, built as
+    the sampler built them once per step before the tables were shared across steps."""
     a = net.out_weights[0]
     w = net.in_weights[:, 0]
     b = net.time_weights @ embed_time(t, net.embed_dim, horizon)[0]
@@ -348,7 +350,13 @@ def single_time_score_1d(net, x: np.ndarray, t: float, horizon: float) -> np.nda
     np.cumsum(np.where(right, terms, 0.0), axis=1, out=table[:, 1:])
     table[:, :-1] += np.cumsum(np.where(right, 0.0, terms)[:, ::-1], axis=1)[:, ::-1]
     table[1] += a[flat] @ np.maximum(b[flat], 0.0)
-    idx = np.searchsorted(kinks[order], x)
+    return kinks[order], table
+
+
+def single_time_score_1d(net, x: np.ndarray, t: float, horizon: float) -> np.ndarray:
+    """Exact 1-d score at one time from ``single_time_table``, shape (q,)."""
+    kinks, table = single_time_table(net, t, horizon)
+    idx = np.searchsorted(kinks, x)
     return (table[0, idx] * x + table[1, idx]) / net.width
 
 
@@ -434,6 +442,36 @@ class TestReverseSample:
             assert np.array_equal(net.lookup_1d(tables, r, x), want)
             assert np.array_equal(net.evaluate(x[:, None], t, CFG.horizon)[:, 0], want)
 
+    @pytest.mark.parametrize("kind", ["plain", "flat", "signed_zero"])
+    def test_tables_bit_equal_single_time_tables(self, trained_nets, kind):
+        # bytes, not values: the sign of every zero intercept is kept; in the
+        # untrained one-unit net a_j b_j = 0 * b_j is -0.0 while b_j < 0
+        zero = ScoreNet(np.zeros((1, 1)), np.ones((1, 1)), -np.eye(1, 8))
+        net = trained_nets.get(kind, zero)
+        ts = np.linspace(CFG.horizon, CFG.t_min, 9)
+        kinks, table = net.tables_1d(ts, CFG.horizon)
+        for r, t in enumerate(ts):
+            one_kinks, one_table = single_time_table(net, t, CFG.horizon)
+            assert kinks[r].tobytes() == one_kinks.tobytes()
+            assert table[:, r].tobytes() == one_table.tobytes()
+
+    @pytest.mark.parametrize("kind", ["plain", "flat"])
+    def test_sorted_key_lookup_matches_plain_search(self, trained_nets, kind):
+        net = trained_nets[kind]
+        ts = np.linspace(CFG.horizon, CFG.t_min, 9)
+        tables = net.tables_1d(ts, CFG.horizon)
+        kinks, table = tables
+        rng = np.random.default_rng(2)
+        for r in range(ts.size):
+            # every kink exactly, twice, among fresh points and signed zeros
+            x = np.concatenate(
+                [kinks[r], kinks[r], 3.0 * rng.standard_normal(500), [0.0, -0.0] * 3]
+            )
+            rng.shuffle(x)
+            idx = np.searchsorted(kinks[r], x)
+            want = (table[0, r, idx] * x + table[1, r, idx]) / net.width
+            assert net.lookup_1d(tables, r, x).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("scale", [1e6, 1e20])
     def test_tabled_blow_up_names_oracle_step(self, monkeypatch, scale):
         net = init_scorenet(40, 1, 8, 4)
@@ -483,6 +521,128 @@ class TestReverseSample:
 
         with pytest.raises(RuntimeError, match="reverse step 1"):
             reverse_sample(ExplodingScore(), CFG, 10, 0)
+
+
+MANY = [(0, 5), (1, 11), (7, 12), (300, 13), (7, 12), (1, 14)]
+
+
+def one_unit_net(scale: float) -> ScoreNet:
+    """A one-unit net active right of 0: a chain above 0 grows by 1 + scale*dt a
+    step and blows up, one below it only drifts, so chains blow up at different
+    steps or not at all."""
+    return ScoreNet(np.array([[scale]]), np.array([[1.0]]), np.zeros((1, 8)))
+
+
+class TestReverseSampleMany:
+    @pytest.mark.parametrize("kind", ["plain", "flat"])
+    def test_one_pass_matches_lone_calls(self, trained_nets, monkeypatch, kind):
+        net = trained_nets[kind]
+        rows = count_tables(monkeypatch)
+        cfg = DiffusionConfig(reverse_steps=101)
+        got = reverse_sample_many(net, cfg, MANY)
+        block = diffusion._TABLE_CELLS // (net.width + 1)
+        assert len(rows) == -(-cfg.reverse_steps // block)  # one pass for all requests
+        assert len(got) == len(MANY)
+        for (n, seed), res in zip(MANY, got):
+            assert res.seed == seed and res.points.shape == (n, 1)
+            assert np.array_equal(res.points, reverse_sample(net, cfg, n, seed).points)
+            assert np.array_equal(res.points, per_step_oracle(net, cfg, n, seed))
+
+    @pytest.mark.parametrize("kind", ["plain", "flat"])
+    def test_blocks_and_passes_under_tiny_caps(self, trained_nets, monkeypatch, kind):
+        net = trained_nets[kind]
+        monkeypatch.setattr(diffusion, "_TABLE_CELLS", 3 * (net.width + 1) + 2)
+        monkeypatch.setattr(diffusion, "_PASS_POINTS", 8)
+        rows = count_tables(monkeypatch)
+        cfg = DiffusionConfig(reverse_steps=100)
+        got = reverse_sample_many(net, cfg, MANY)
+        # passes of (0, 1, 7), (300) alone and (7, 1) points, each in 34 blocks
+        assert rows == ([3] * 33 + [1]) * 3
+        for (n, seed), res in zip(MANY, got):
+            assert np.array_equal(res.points, per_step_oracle(net, cfg, n, seed))
+
+    def test_empty_requests_build_no_tables(self, trained_nets, monkeypatch):
+        rows = count_tables(monkeypatch)
+        got = reverse_sample_many(trained_nets["plain"], CFG, [(0, 1), (0, 2)])
+        assert rows == []
+        assert [(r.points.shape, r.seed) for r in got] == [((0, 1), 1), ((0, 1), 2)]
+
+    def test_other_scores_run_each_request(self):
+        class ExplodingScore:
+            dim = 1
+
+            def evaluate(self, x, t, horizon):
+                return np.full_like(np.atleast_2d(x), 1e308)
+
+        cfg = DiffusionConfig(reverse_steps=40)
+        score = gauss_score_model(0, 1)
+        for (n, seed), res in zip(MANY, reverse_sample_many(score, cfg, MANY)):
+            assert np.array_equal(res.points, reverse_sample(score, cfg, n, seed).points)
+        (err,) = reverse_sample_many(ExplodingScore(), cfg, [(10, 0)])
+        with pytest.raises(RuntimeError) as info:
+            reverse_sample(ExplodingScore(), cfg, 10, 0)
+        assert isinstance(err, RuntimeError) and str(err) == str(info.value)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e20])
+    def test_blow_up_leaves_only_its_request(self, scale):
+        net = one_unit_net(scale)
+        cfg = DiffusionConfig(reverse_steps=100)
+        requests = [(n, seed) for seed in range(10) for n in (1, 2)] + [(0, 3)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = reverse_sample_many(net, cfg, requests)
+            errors, survivors = set(), 0
+            for (n, seed), res in zip(requests, got):
+                try:
+                    want = reverse_sample(net, cfg, n, seed)
+                except RuntimeError as exc:
+                    assert isinstance(res, RuntimeError) and str(res) == str(exc)
+                    errors.add(str(exc))
+                else:
+                    assert np.array_equal(res.points, want.points)
+                    survivors += n > 0
+        assert len(errors) >= 2  # requests blew up at different steps
+        assert survivors >= 3
+
+    @pytest.mark.parametrize("scale", [1e6, 1e20])
+    def test_model_raises_only_the_drawn_blow_up(self, scale):
+        cfg = DiffusionConfig(reverse_steps=100)
+        model = DiffusionModel(one_unit_net(scale), cfg)
+        seeds = [diffusion.draw_seed(np.random.default_rng(i)) for i in range(10)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            model.serve([(2, seed) for seed in seeds])  # raises nothing
+            raised = 0
+            for i, seed in enumerate(seeds):
+                try:
+                    want = reverse_sample(model.net, cfg, 2, seed).points
+                except RuntimeError as exc:
+                    with pytest.raises(RuntimeError) as info:
+                        model.draw(2, np.random.default_rng(i))
+                    assert str(info.value) == str(exc)
+                    raised += 1
+                else:
+                    assert np.array_equal(model.draw(2, np.random.default_rng(i)), want)
+        assert 0 < raised < len(seeds)
+        assert model.pool == {}
+
+
+class TestDiffusionModelPool:
+    def test_draw_pops_served_and_falls_back(self, trained_nets, monkeypatch):
+        model = DiffusionModel(trained_nets["plain"], DiffusionConfig(reverse_steps=40))
+        seed = diffusion.draw_seed(np.random.default_rng(4))
+        model.serve([(5, seed), (5, seed), (3, 9)])
+        assert model == DiffusionModel(model.net, model.cfg)  # the pool is not compared
+        lone = []
+        sample = diffusion.reverse_sample
+        monkeypatch.setattr(
+            diffusion, "reverse_sample", lambda *a: lone.append(a[2:]) or sample(*a)
+        )
+        want = sample(model.net, model.cfg, 5, seed).points
+        for _ in range(3):  # two served draws, then a fresh one
+            assert np.array_equal(model.draw(5, np.random.default_rng(4)), want)
+        assert lone == [(5, seed)]
+        assert list(model.pool) == [(3, 9)]
+        assert np.array_equal(model.sample(3, 9).points, sample(model.net, model.cfg, 3, 9).points)
+        assert model.pool == {}
 
 
 class TestPriorKL:

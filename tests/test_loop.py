@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sclab import kernels, loop
+from sclab import diffusion, kernels, loop
 from sclab.diffusion import DiffusionConfig, ScoreNet
 from sclab.distributions import Gauss1D
 from sclab.kernels import KernelSpec
@@ -320,9 +320,10 @@ class TestDiffusionLoop:
         monkeypatch.setattr(ScoreNet, "tables_1d", lambda net, ts, horizon: (ts, horizon))
         monkeypatch.setattr(ScoreNet, "lookup_1d", dense_lookup)
         dense = run_loop(cfg, 0)
-        # nine sampler runs: one TV draw per generation, and models 1 and 2 drawn
-        # for generations 2 and 3 in both the training data and the mixture reference
-        assert len(lookups) == 9 * DiffusionConfig().reverse_steps
+        # one sampler pass per model serves the nine draws: one TV draw per
+        # generation, and models 1 and 2 drawn for generations 2 and 3 in both
+        # the training data and the mixture reference
+        assert len(lookups) == 3 * DiffusionConfig().reverse_steps
         for f, d in zip(fast.records, dense.records, strict=True):
             assert (f.n_real, f.n_synth) == (d.n_real, d.n_synth)
             gap = abs(f.tv_to_p0.value - d.tv_to_p0.value)
@@ -342,6 +343,84 @@ class TestDiffusionLoop:
         )
         with pytest.raises(LoopError, match="generation 1"):
             run_loop(cfg, 0)
+
+
+def diffusion_config(schedule, n=64, generations=3, seed=31, eval_samples=300, steps=60):
+    return LoopConfig(
+        generator=DiffusionGenerator(cfg=DiffusionConfig(reverse_steps=steps)),
+        schedule=schedule,
+        p0=GAUSS,
+        sample_sizes=ConstantSizes(n),
+        max_generation=generations,
+        base_seed=seed,
+        eval_samples=eval_samples,
+    )
+
+
+def count_draws(monkeypatch) -> dict:
+    """Record the fitted models, each lockstep pass's net and request count, and
+    every ``reverse_sample`` call (a draw the pool did not serve)."""
+    seen = {"models": [], "passes": [], "fallbacks": []}
+    fit, lockstep, sample = DiffusionGenerator.fit, diffusion._lockstep_1d, diffusion.reverse_sample
+
+    def counted_fit(self, data, seed_row):
+        out = fit(self, data, seed_row)
+        seen["models"].append(out[0])
+        return out
+
+    def counted_lockstep(net, cfg, requests):
+        seen["passes"].append((id(net), len(requests)))
+        return lockstep(net, cfg, requests)
+
+    def counted_sample(score, cfg, n, seed):
+        seen["fallbacks"].append((n, seed))
+        return sample(score, cfg, n, seed)
+
+    monkeypatch.setattr(DiffusionGenerator, "fit", counted_fit)
+    monkeypatch.setattr(diffusion, "_lockstep_1d", counted_lockstep)
+    monkeypatch.setattr(diffusion, "reverse_sample", counted_sample)
+    return seen
+
+
+PLAN_SCHEDULES = {
+    "balanced": MixtureSchedule.balanced(3),
+    "full_synthetic": MixtureSchedule.full_synthetic(3),
+    "real_each_gen": MixtureSchedule.real_each_gen(0.4, 3),
+    "fixed_ratio": MixtureSchedule.fixed_ratio(16, 48, 3),
+    # model 1 keeps a zero weight at generation 3: planned draws of 0 points
+    "general": MixtureSchedule.general([(0.5, (0.5,)), (0.2, (0.0, 0.8)), (0.1, (0.3, 0.3, 0.3))]),
+}
+
+
+class TestDrawPlan:
+    @pytest.mark.parametrize("schedule", PLAN_SCHEDULES.values(), ids=PLAN_SCHEDULES)
+    def test_records_equal_unpooled_run(self, monkeypatch, schedule):
+        cfg = diffusion_config(schedule, generations=4 if schedule.kind == "general" else 3)
+        seen = count_draws(monkeypatch)
+        pooled = run_loop(cfg, 0)
+        models = seen["models"]
+        assert seen["fallbacks"] == []
+        assert [net for net, _ in seen["passes"]] == [id(m.net) for m in models]
+        assert all(m.pool == {} for m in models)
+        served = sum(k for _, k in seen["passes"])
+
+        monkeypatch.setattr(diffusion.DiffusionModel, "serve", lambda self, requests: None)
+        seen = count_draws(monkeypatch)
+        oracle = run_loop(cfg, 0)
+        assert len(seen["fallbacks"]) == served
+        # exact float equality on every field, TV raw values and tolerances included
+        assert pooled.records == oracle.records
+
+    def test_benchmark_shape_draws_sixteen_times_in_four_passes(self, monkeypatch):
+        # the diffusion_balanced workload: balanced over 4 generations, n = 256,
+        # 1000 evaluation draws; model 1 is drawn 7 times
+        seen = count_draws(monkeypatch)
+        run_loop(diffusion_config(MixtureSchedule.balanced(4), n=256, generations=4,
+                                  eval_samples=1000, steps=10), 0)
+        assert [k for _, k in seen["passes"]] == [7, 5, 3, 1]
+        assert [net for net, _ in seen["passes"]] == [id(m.net) for m in seen["models"]]
+        assert seen["fallbacks"] == []
+        assert all(m.pool == {} for m in seen["models"])
 
 
 class TestSummariesAndRows:
