@@ -231,8 +231,8 @@ def bound_fixed_ratio(
     if i < 1:
         raise ValueError("generation must be >= 1")
     prefactor = (1.0 + m / n) * (1.0 - (m / (n + m)) ** (i + 1))
-    term = (n + m) ** -0.25 * math.sqrt(d * math.log(d * i / delta)) + math.sqrt(kl)
-    return prefactor * term
+    inputs = BoundInputs(n=(n + m,) * (i + 1), d=d, delta=delta, kl_terms=(kl,) * (i + 1))
+    return prefactor * _terms("diffusion", inputs)(i)
 
 
 def bound_real_each_gen(
@@ -244,8 +244,8 @@ def bound_real_each_gen(
     if i < 1 or n < 1:
         raise ValueError("need generation >= 1 and n >= 1")
     factor = (1.0 - (1.0 - alpha) ** (i + 1)) / alpha
-    term = n**-0.25 * math.sqrt(d * math.log(d * i / delta)) + math.sqrt(kl)
-    return factor * term
+    inputs = BoundInputs(n=(n,) * (i + 1), d=d, delta=delta, kl_terms=(kl,) * (i + 1))
+    return factor * _terms("diffusion", inputs)(i)
 
 
 def f_lambda(lam: float, i: int) -> float:

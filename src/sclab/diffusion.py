@@ -360,32 +360,42 @@ def _blow_up(ts: np.ndarray, k: int) -> RuntimeError:
     return RuntimeError(f"non-finite state at reverse step {k + 1} (t = {ts[k + 1]:.6g})")
 
 
-def _lockstep_1d(net: ScoreNet, cfg: DiffusionConfig, requests) -> list:
-    """One lockstep reverse pass of a 1-d ``ScoreNet`` over every ``(n, seed)``.
+def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list:
+    """One lockstep reverse pass of ``score`` over every ``(n, seed)`` request.
 
-    The chains of all requests advance together: ``tables_1d`` once per
-    block of at most ``_TABLE_CELLS`` cells, one ``lookup_1d`` per step, and
-    each request's prior and noise drawn from its own generator, in the order
-    a lone ``reverse_sample`` draws them. A request whose state goes
-    non-finite leaves the pass at that step with its error; the others go on.
+    The chains of all requests advance together as one (N, d) state, each
+    request's prior and noise drawn from its own generator in the order a
+    lone call draws them. A 1-d ``ScoreNet`` is scored for all chains by one
+    ``lookup_1d`` per step on ``tables_1d`` built once per block of at most
+    ``_TABLE_CELLS`` cells; any other score by ``evaluate`` on each request's
+    own rows, so dense rounding sees the row block a lone call passes. A
+    request whose state goes non-finite leaves the pass at that step with its
+    error; the others go on. Any exception the score raises propagates.
     """
     ts, dt = _reverse_grid(cfg)
     sqrt_dt = math.sqrt(dt)
     rngs = [np.random.default_rng(seed) for _, seed in requests]
-    x = np.concatenate([rng.standard_normal((n, 1)) for rng, (n, _) in zip(rngs, requests)])
-    x = x[:, 0]
+    x = np.concatenate(
+        [rng.standard_normal((n, score.dim)) for rng, (n, _) in zip(rngs, requests)]
+    )
     edges = np.cumsum([0] + [n for n, _ in requests])
     live = [(i, edges[i], edges[i + 1]) for i in range(len(requests)) if edges[i + 1] > edges[i]]
     results: list = [SampleSet(x[:0].copy(), seed) for _, seed in requests]  # kept if n = 0
     if not live:
         return results
+    tabled = isinstance(score, ScoreNet) and score.dim == 1
+    block = max(1, _TABLE_CELLS // (score.width + 1)) if tabled else cfg.reverse_steps
     noise = np.empty_like(x)
-    block = max(1, _TABLE_CELLS // (net.width + 1))
     for k0 in range(0, cfg.reverse_steps, block):
         k1 = min(k0 + block, cfg.reverse_steps)
-        tables = net.tables_1d(ts[k0:k1], cfg.horizon)
+        tables = score.tables_1d(ts[k0:k1], cfg.horizon) if tabled else None
         for k in range(k0, k1):
-            s = net.lookup_1d(tables, k - k0, x)
+            if tabled:
+                s = score.lookup_1d(tables, k - k0, x[:, 0])[:, None]
+            else:
+                s = np.concatenate(
+                    [score.evaluate(x[a:b], ts[k], cfg.horizon) for _, a, b in live]
+                )
             for i, a, b in live:
                 rngs[i].standard_normal(out=noise[a:b])
             with np.errstate(over="ignore", invalid="ignore"):  # blow-ups leave below
@@ -419,29 +429,20 @@ def reverse_sample_many(score, cfg: DiffusionConfig, requests: list[tuple[int, i
     """Every ``(n, seed)`` request of ``reverse_sample`` from as few passes as possible.
 
     Returns one entry per request, in order: the ``SampleSet`` that
-    ``reverse_sample(score, cfg, n, seed)`` returns, or the ``RuntimeError``
-    it raises for that request alone, naming the same step. A 1-d
-    ``ScoreNet`` runs its requests in lockstep passes of at most
-    ``_PASS_POINTS`` chains (a larger request runs alone); every other score
-    object runs one ``reverse_sample`` per request, because dense rounding
-    can depend on the shape of the row block.
+    ``reverse_sample(score, cfg, n, seed)`` returns, or the non-finite-state
+    ``RuntimeError`` it raises for that request alone, naming the same step.
+    The requests run in lockstep passes of at most ``_PASS_POINTS`` chains (a
+    larger request runs alone). Any other exception, such as one raised by
+    the score's ``evaluate``, propagates.
     """
-    if not (isinstance(score, ScoreNet) and score.dim == 1):
-        results = []
-        for n, seed in requests:
-            try:
-                results.append(reverse_sample(score, cfg, n, seed))
-            except RuntimeError as exc:
-                results.append(exc)
-        return results
     results, group, points = [], [], 0
     for n, seed in requests:
         if group and points + n > _PASS_POINTS:
-            results += _lockstep_1d(score, cfg, group)
+            results += _reverse_pass(score, cfg, group)
             group, points = [], 0
         group.append((n, seed))
         points += n
-    return results + (_lockstep_1d(score, cfg, group) if group else [])
+    return results + (_reverse_pass(score, cfg, group) if group else [])
 
 
 def reverse_sample(score, cfg: DiffusionConfig, n: int, seed: int) -> SampleSet:
@@ -450,28 +451,15 @@ def reverse_sample(score, cfg: DiffusionConfig, n: int, seed: int) -> SampleSet:
     ``score`` is a trained network or any object with a ``dim`` and an
     ``evaluate(x, t, horizon)`` method (e.g. the analytic Gaussian score).
     Runs on the uniform grid from the horizon down to t_min; a non-finite
-    state aborts with the offending step named. A 1-d ``ScoreNet`` runs the
-    one-request case of the lockstep pass of ``reverse_sample_many``: score
-    tables per block of steps, answered by lookup, bit-identical to a
-    per-step ``evaluate``. Every other score object is evaluated per step.
+    state aborts with the offending step named. This is the one-request case
+    of the lockstep pass of ``reverse_sample_many``: a 1-d ``ScoreNet`` is
+    scored from tables per block of steps, bit-identical to a per-step
+    ``evaluate``, and every other score by one ``evaluate`` per step.
     """
-    if isinstance(score, ScoreNet) and score.dim == 1:
-        (result,) = _lockstep_1d(score, cfg, [(n, seed)])
-        if isinstance(result, RuntimeError):
-            raise result
-        return result
-    dim = score.dim
-    rng = np.random.default_rng(seed)
-    ts, dt = _reverse_grid(cfg)
-    x = rng.standard_normal((n, dim))
-    sqrt_dt = math.sqrt(dt)
-    for k in range(cfg.reverse_steps):
-        s = score.evaluate(x, ts[k], cfg.horizon)
-        with np.errstate(over="ignore", invalid="ignore"):  # blow-ups raise below
-            x = x + (0.5 * x + s) * dt + sqrt_dt * rng.standard_normal((n, dim))
-        if not np.isfinite(x).all():
-            raise _blow_up(ts, k)
-    return SampleSet(x, seed)
+    (result,) = _reverse_pass(score, cfg, [(n, seed)])
+    if isinstance(result, RuntimeError):
+        raise result
+    return result
 
 
 def draw_seed(rng: np.random.Generator) -> int:
@@ -484,8 +472,8 @@ class DiffusionModel:
     """A trained score net with the sampler settings it was trained under.
 
     ``pool`` holds draws served ahead of time by ``serve``, keyed by
-    ``(n, seed)``: each is the ``SampleSet`` or the ``RuntimeError`` of that
-    ``reverse_sample`` call, and is removed when it is drawn.
+    ``(n, seed)``: each is the ``SampleSet`` or the blow-up ``RuntimeError``
+    of that ``reverse_sample`` call, and is removed when it is drawn.
     """
 
     net: ScoreNet
@@ -493,7 +481,8 @@ class DiffusionModel:
     pool: dict = field(default_factory=dict, compare=False, repr=False)
 
     def serve(self, requests: list[tuple[int, int]]) -> None:
-        """Run the ``(n, seed)`` requests in one ``reverse_sample_many`` and pool them."""
+        """Run the ``(n, seed)`` requests in one ``reverse_sample_many`` and pool
+        them; an exception other than a blow-up propagates from here."""
         for key, result in zip(requests, reverse_sample_many(self.net, self.cfg, requests)):
             self.pool.setdefault(key, []).append(result)
 

@@ -119,18 +119,17 @@ class DiffusionGenerator:
         hundred normals per generation).
         """
         p0, box, n = cfg.p0, cfg.p0.support_hint, cfg.eval_samples
-        eval_seeds = _eval_seeds(cfg.base_seed, cfg.max_generation)
-        ref = p0.sample(n, int(eval_seeds[0]))
-        plan = _plan_draws(cfg, seeds, eval_seeds)
+        ref_seed, tv_seeds, mix_seeds = _eval_seeds(cfg.base_seed, cfg.max_generation)
+        ref = p0.sample(n, ref_seed)
+        plan = _plan_draws(cfg, seeds, tv_seeds, mix_seeds)
 
         def measure(g, model, weights, models):
             model.serve(plan.pop(g))
-            model_pts = model.sample(n, int(eval_seeds[g]))
+            model_pts = model.sample(n, tv_seeds[g])
             tv0 = tv_histogram(model_pts, ref, box=box)
             if g == 1:
                 return tv0, tv0
-            mix_seed = int(eval_seeds[cfg.max_generation + g])
-            mix_pts = sample_mixture(p0, _draws(models, g), weights, n, mix_seed)
+            mix_pts = sample_mixture(p0, _draws(models, g), weights, n, mix_seeds[g])
             return tv0, tv_histogram(model_pts, mix_pts, box=box)
 
         return measure
@@ -251,10 +250,19 @@ def _gen_seeds(replicate_seed: int, generations: int) -> np.ndarray:
     return root.integers(0, 2**63, size=(generations, 3))
 
 
-def _eval_seeds(base_seed: int, generations: int) -> np.ndarray:
-    """Measurement seeds, disjoint from every training stream by construction."""
+def _eval_seeds(base_seed: int, generations: int) -> tuple[int, list[int], list[int]]:
+    """Measurement seeds, disjoint from every training stream by construction:
+    ``(ref, tv, mix)``, seeding the reference draw of p0, model g's TV draw
+    (``tv[g]``) and generation g's mixture draw (``mix[g]``)."""
     root = np.random.default_rng([base_seed, 0xE7A1])
-    return root.integers(0, 2**63, size=(2 * generations + 1,))
+    seeds = [int(s) for s in root.integers(0, 2**63, size=(2 * generations + 1,))]
+    return seeds[0], seeds[: generations + 1], seeds[generations:]
+
+
+def _sources(schedule: MixtureSchedule, g: int) -> range:
+    """The earlier models generation g >= 2 may draw from: all of them when
+    the schedule needs the history, else only model g - 1."""
+    return range(1, g) if schedule.needs_history else range(g - 1, g)
 
 
 class _GridMemo:
@@ -295,17 +303,17 @@ class _GridMemo:
         return pdf
 
 
-def _plan_draws(cfg: LoopConfig, seeds: np.ndarray, eval_seeds: np.ndarray) -> dict:
+def _plan_draws(cfg: LoopConfig, seeds: np.ndarray, tv_seeds: list, mix_seeds: list) -> dict:
     """Every ``(n, seed)`` reverse-SDE draw of a diffusion replicate, by model.
 
     Model g is drawn once for its TV to p0, and by each later generation's
-    training mixture and reference mixture, with the kept-model pruning of
-    ``run_loop``. Each mixture is replayed with recording components: the
-    labels and seeds depend only on the mixture's own seed, not on the
-    points drawn.
+    training mixture and reference mixture that may draw from it
+    (``_sources``, as in ``run_loop``). Each mixture is replayed with
+    recording components: the labels and seeds depend only on the mixture's
+    own seed, not on the points drawn.
     """
     n_eval, last = cfg.eval_samples, cfg.max_generation
-    plan = {g: [(n_eval, int(eval_seeds[g]))] for g in range(1, last + 1)}
+    plan = {g: [(n_eval, tv_seeds[g])] for g in range(1, last + 1)}
 
     def recorder(k):
         def draw(c, rng):
@@ -316,11 +324,10 @@ def _plan_draws(cfg: LoopConfig, seeds: np.ndarray, eval_seeds: np.ndarray) -> d
 
     sizes = cfg.resolved_sizes()
     for g in range(2, last + 1):
-        kept = range(1, g) if cfg.schedule.needs_history else (g - 1,)
-        components = [recorder(k) if k in kept else None for k in range(1, g)]
+        components = [recorder(k) if k in _sources(cfg.schedule, g) else None for k in range(1, g)]
         weights = cfg.schedule.weights_at(g - 1)
         sample_mixture(cfg.p0, components, weights, sizes[g - 1], int(seeds[g - 1, 0]))
-        sample_mixture(cfg.p0, components, weights, n_eval, int(eval_seeds[last + g]))
+        sample_mixture(cfg.p0, components, weights, n_eval, mix_seeds[g])
     return plan
 
 
@@ -381,8 +388,7 @@ def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
         )
 
         models[g] = model
-        if not cfg.schedule.needs_history:
-            models = {g: model}
+        models = {k: models[k] for k in _sources(cfg.schedule, g + 1)}
 
     return LoopTrace(
         config=cfg,

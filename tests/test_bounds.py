@@ -327,6 +327,26 @@ class TestClosedFormSchedules:
         term = 100**-0.25 * math.sqrt(math.log(i / 0.5))
         assert tiny == pytest.approx((i + 1) * term, rel=1e-5)
 
+    def test_closed_forms_bit_equal_written_out_term(self):
+        # the diffusion term comes from _terms, whose operations run in this order
+        n, m, alpha, i, d, delta, kl = 100, 300, 0.35, 4, 2, 0.2, 0.01
+        log_term = math.sqrt(d * math.log(d * i / delta))
+        prefactor = (1.0 + m / n) * (1.0 - (m / (n + m)) ** (i + 1))
+        factor = (1.0 - (1.0 - alpha) ** (i + 1)) / alpha
+        assert bound_fixed_ratio(n, m, i, d, delta, kl) == prefactor * (
+            (n + m) ** -0.25 * log_term + math.sqrt(kl)
+        )
+        assert bound_real_each_gen(alpha, i, n, d, delta, kl) == factor * (
+            n**-0.25 * log_term + math.sqrt(kl)
+        )
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5])
+    def test_closed_forms_refuse_delta_outside_unit_interval(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            bound_fixed_ratio(100, 100, 2, delta=delta)
+        with pytest.raises(ValueError, match="delta"):
+            bound_real_each_gen(0.5, 2, 100, delta=delta)
+
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
             bound_real_each_gen(0.0, 2, 100)

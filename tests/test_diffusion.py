@@ -625,6 +625,78 @@ class TestReverseSampleMany:
         assert model.pool == {}
 
 
+def evaluate_step_oracle(score, cfg: DiffusionConfig, n: int, seed: int):
+    """The reverse chain with one ``evaluate`` per step on the whole state, as the
+    sampler ran every score but a 1-d ``ScoreNet`` before the one pass; returns
+    the final state, or the step at which the state first went non-finite."""
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(cfg.horizon, cfg.t_min, cfg.reverse_steps + 1)
+    dt = (cfg.horizon - cfg.t_min) / cfg.reverse_steps
+    x = rng.standard_normal((n, score.dim))
+    for k in range(cfg.reverse_steps):
+        s = score.evaluate(x, ts[k], cfg.horizon)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x + (0.5 * x + s) * dt + math.sqrt(dt) * rng.standard_normal((n, score.dim))
+        if not np.isfinite(x).all():
+            return k + 1
+    return x
+
+
+@pytest.fixture(scope="module")
+def evaluated_scores():
+    """Scores the sampler evaluates per request: trained dense nets (d = 2 and
+    d = 3) and the analytic Gaussian score."""
+    nets = {}
+    for d, width, seed in [(2, 120, 21), (3, 40, 22)]:
+        rng = np.random.default_rng(seed)
+        data = SampleSet(0.8 * rng.standard_normal((120, d)) + 0.3, seed)
+        nets[f"dense{d}"] = init_scorenet(width, d, 8, seed)
+        train(nets[f"dense{d}"], data, CFG, seed=seed + 1)
+    return {**nets, "analytic": gauss_score_model(0.5, 0.8)}
+
+
+def one_unit_net_2d(scale: float) -> ScoreNet:
+    """A dense 2-d ``one_unit_net``: its one unit reads the first coordinate and
+    drives both, so chains blow up at different steps or not at all."""
+    return ScoreNet(np.full((2, 1), scale), np.array([[1.0, 0.0]]), np.zeros((1, 8)))
+
+
+class TestEvaluatedPass:
+    @pytest.mark.parametrize("kind", ["dense2", "dense3", "analytic"])
+    def test_draws_match_per_step_evaluate(self, evaluated_scores, kind):
+        score = evaluated_scores[kind]
+        cfg = DiffusionConfig(reverse_steps=40)
+        many = reverse_sample_many(score, cfg, MANY)
+        for (n, seed), res in zip(MANY, many, strict=True):
+            want = evaluate_step_oracle(score, cfg, n, seed)
+            assert want.shape == (n, score.dim)
+            assert res.seed == seed and res.points.tobytes() == want.tobytes()
+            assert reverse_sample(score, cfg, n, seed).points.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e6, 1e20])
+    def test_dense_blow_ups_name_oracle_steps(self, scale):
+        net = one_unit_net_2d(scale)
+        cfg = DiffusionConfig(reverse_steps=100)
+        requests = [(n, seed) for seed in range(20) for n in (1, 2)] + [(0, 3)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = reverse_sample_many(net, cfg, requests)
+            steps, survivors = set(), 0
+            for (n, seed), res in zip(requests, got, strict=True):
+                want = evaluate_step_oracle(net, cfg, n, seed)
+                if isinstance(want, int):
+                    assert isinstance(res, RuntimeError)
+                    assert str(res).startswith(f"non-finite state at reverse step {want} ")
+                    with pytest.raises(RuntimeError) as info:
+                        reverse_sample(net, cfg, n, seed)
+                    assert str(info.value) == str(res)
+                    steps.add(want)
+                else:
+                    assert res.points.tobytes() == want.tobytes()
+                    survivors += n > 0
+        assert len(steps) >= 2  # requests blew up at different steps
+        assert survivors >= 3
+
+
 class TestDiffusionModelPool:
     def test_draw_pops_served_and_falls_back(self, trained_nets, monkeypatch):
         model = DiffusionModel(trained_nets["plain"], DiffusionConfig(reverse_steps=40))

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sclab import diffusion, kernels, loop
+from sclab.cli import parse_config, run_scenario
 from sclab.diffusion import DiffusionConfig, ScoreNet
 from sclab.distributions import Gauss1D
 from sclab.kernels import KernelSpec
@@ -361,7 +364,7 @@ def count_draws(monkeypatch) -> dict:
     """Record the fitted models, each lockstep pass's net and request count, and
     every ``reverse_sample`` call (a draw the pool did not serve)."""
     seen = {"models": [], "passes": [], "fallbacks": []}
-    fit, lockstep, sample = DiffusionGenerator.fit, diffusion._lockstep_1d, diffusion.reverse_sample
+    fit, lockstep, sample = DiffusionGenerator.fit, diffusion._reverse_pass, diffusion.reverse_sample
 
     def counted_fit(self, data, seed_row):
         out = fit(self, data, seed_row)
@@ -377,7 +380,7 @@ def count_draws(monkeypatch) -> dict:
         return sample(score, cfg, n, seed)
 
     monkeypatch.setattr(DiffusionGenerator, "fit", counted_fit)
-    monkeypatch.setattr(diffusion, "_lockstep_1d", counted_lockstep)
+    monkeypatch.setattr(diffusion, "_reverse_pass", counted_lockstep)
     monkeypatch.setattr(diffusion, "reverse_sample", counted_sample)
     return seen
 
@@ -421,6 +424,46 @@ class TestDrawPlan:
         assert [net for net, _ in seen["passes"]] == [id(m.net) for m in seen["models"]]
         assert seen["fallbacks"] == []
         assert all(m.pool == {} for m in seen["models"])
+
+
+CONFIG_2D = Path(__file__).parent / "configs" / "diffusion_gauss2d.ini"
+
+
+def run_config_2d(monkeypatch, out: Path) -> list:
+    """Run the 2-d diffusion config through the CLI into ``out``; return its traces."""
+    traces = []
+
+    def recorded(cfg):
+        result = run_replicates(cfg)
+        traces.extend(result[0])
+        return result
+
+    monkeypatch.setattr(loop, "run_replicates", recorded)
+    run_scenario(parse_config(CONFIG_2D.read_text(), {"out_dir": str(out)}))
+    return traces
+
+
+class TestDiffusionLoop2d:
+    def test_records_equal_unpooled_run(self, monkeypatch, tmp_path):
+        # every draw takes the dense (d = 2) score path; the CI runs the same file
+        seen = count_draws(monkeypatch)
+        pooled = run_config_2d(monkeypatch, tmp_path / "pooled")
+        models = seen["models"]
+        assert [m.net.dim for m in models] == [2, 2, 2]
+        assert seen["fallbacks"] == []
+        assert [net for net, _ in seen["passes"]] == [id(m.net) for m in models]
+        assert all(m.pool == {} for m in models)
+        served = sum(k for _, k in seen["passes"])
+
+        monkeypatch.setattr(diffusion.DiffusionModel, "serve", lambda self, requests: None)
+        seen = count_draws(monkeypatch)
+        unpooled = run_config_2d(monkeypatch, tmp_path / "unpooled")
+        assert len(seen["fallbacks"]) == served
+        assert len(pooled) == 1 and len(pooled[0].records) == 3
+        assert [t.records for t in pooled] == [t.records for t in unpooled]
+        for name in ("results.csv", "bounds.csv"):
+            pooled_csv = (tmp_path / "pooled" / name).read_bytes()
+            assert pooled_csv == (tmp_path / "unpooled" / name).read_bytes()
 
 
 class TestSummariesAndRows:
