@@ -38,19 +38,6 @@ from .loop import (
 from .mixing import MixtureSchedule
 from . import diffusion as diffusion_mod
 
-SCENARIOS = (
-    "kde_rate",
-    "full_synthetic",
-    "balanced",
-    "fixed_ratio_sweep",
-    "real_each_gen",
-    "diffusion_1d",
-    "bounds_report",
-    "phase_transition",
-)
-
-LOOP_SCENARIOS = ("full_synthetic", "balanced", "real_each_gen", "diffusion_1d")
-
 RESULT_COLUMNS = (
     "scenario",
     "replicate",
@@ -132,18 +119,18 @@ def _p_enum(*choices):
     return parse
 
 
-def _p_int_list(text):
-    vals = [_p_pos_int(v.strip()) for v in text.split(",") if v.strip()]
-    if not vals:
-        raise ValueError("empty list")
-    return tuple(vals)
+def _p_list(item):
+    def parse(text):
+        vals = [item(v.strip()) for v in text.split(",") if v.strip()]
+        if not vals:
+            raise ValueError("empty list")
+        return tuple(vals)
+
+    return parse
 
 
-def _p_float_list(text):
-    vals = [_p_float(v.strip()) for v in text.split(",") if v.strip()]
-    if not vals:
-        raise ValueError("empty list")
-    return tuple(vals)
+_p_int_list = _p_list(_p_pos_int)
+_p_float_list = _p_list(_p_float)
 
 
 def _p_components(text):
@@ -174,105 +161,71 @@ def _p_size_rule(text):
 # ----------------------------------------------------------------------------
 # schema: section -> key -> (required, parser, default-as-string)
 
-_RUN_KEYS = {
-    "scenario": (True, _p_enum(*SCENARIOS), None),
-    "out_dir": (False, str, "out"),
-    "base_seed": (True, _p_seed, None),
-    "replicates": (False, _p_pos_int, "1"),
+_SCHEMA = {
+    "run": {
+        "scenario": (True, str, None),  # parse_config has already refused unknown names
+        "out_dir": (False, str, "out"),
+        "base_seed": (True, _p_seed, None),
+        "replicates": (False, _p_pos_int, "1"),
+    },
+    "target": {
+        "kind": (True, _p_enum("gauss1d", "gauss_mixture1d", "gauss2d"), None),
+        "mean": (False, _p_float_list, None),
+        "std": (False, _p_pos_float, None),
+        "components": (False, _p_components, None),
+        "var": (False, _p_float_list, None),
+    },
+    "schedule": {
+        "kind": (True, _p_enum(*mixing._KINDS), None),
+        "max_generation": (True, _p_pos_int, None),
+        "n_real": (False, _p_pos_int, None),
+        "m_synth": (False, _p_int, None),
+        "alpha": (False, _p_pos_float, None),
+    },
+    "loop": {
+        "generator": (True, _p_enum("kde", "diffusion"), None),
+        "sample_sizes": (True, _p_size_rule, None),
+        "delta": (False, _p_pos_float, "0.1"),
+        "eval_nodes": (False, _p_pos_int, "4096"),
+        "eval_samples": (False, _p_pos_int, "100000"),
+    },
+    "kde": {
+        "kernel": (False, _p_enum(*kernels._PROFILES), "gaussian"),
+        "order": (False, _p_pos_int, None),
+    },
+    "diffusion": {
+        "horizon": (False, _p_pos_float, "3.0"),
+        "reverse_steps": (False, _p_pos_int, "500"),
+        "embed_dim": (False, _p_pos_int, "8"),
+        "width_factor": (False, _p_pos_float, "1.0"),
+        "tau_factor": (False, _p_pos_float, "1.0"),
+        "lr": (False, _p_pos_float, None),
+    },
+    "kde_rate": {
+        "sizes": (True, _p_int_list, None),
+        "seeds": (False, _p_pos_int, "10"),
+    },
+    "sweep": {
+        "n_real": (True, _p_pos_int, None),
+        "lambdas": (True, _p_float_list, None),
+        "max_generation": (True, _p_pos_int, None),
+    },
+    "phase": {
+        "i_values": (True, _p_int_list, None),
+        "lambda_max": (False, _p_pos_float, "20.0"),
+        "lambda_steps": (False, _p_pos_int, "201"),
+    },
+    "bounds": {
+        "family": (False, _p_enum(*bounds.FAMILIES), "diffusion"),
+        "n": (True, _p_size_rule, None),
+        "d": (False, _p_pos_int, "1"),
+        "delta": (False, _p_pos_float, "0.1"),
+        "kl": (False, _p_float_list, "0.0"),
+        "s": (False, _p_pos_int, None),
+        "r_cap": (False, _p_pos_float, None),
+        "i": (False, _p_pos_int, None),
+    },
 }
-
-_TARGET_KEYS = {
-    "kind": (True, _p_enum("gauss1d", "gauss_mixture1d", "gauss2d"), None),
-    "mean": (False, _p_float_list, None),
-    "std": (False, _p_pos_float, None),
-    "components": (False, _p_components, None),
-    "var": (False, _p_float_list, None),
-}
-
-_SCHEDULE_KEYS = {
-    "kind": (True, _p_enum(*mixing._KINDS), None),
-    "max_generation": (True, _p_pos_int, None),
-    "n_real": (False, _p_pos_int, None),
-    "m_synth": (False, _p_int, None),
-    "alpha": (False, _p_pos_float, None),
-}
-
-_LOOP_KEYS = {
-    "generator": (True, _p_enum("kde", "diffusion"), None),
-    "sample_sizes": (True, _p_size_rule, None),
-    "delta": (False, _p_pos_float, "0.1"),
-    "eval_nodes": (False, _p_pos_int, "4096"),
-    "eval_samples": (False, _p_pos_int, "100000"),
-}
-
-_KDE_KEYS = {
-    "kernel": (False, _p_enum(*kernels._PROFILES), "gaussian"),
-    "order": (False, _p_pos_int, None),
-}
-
-_DIFFUSION_KEYS = {
-    "horizon": (False, _p_pos_float, "3.0"),
-    "reverse_steps": (False, _p_pos_int, "500"),
-    "embed_dim": (False, _p_pos_int, "8"),
-    "width_factor": (False, _p_pos_float, "1.0"),
-    "tau_factor": (False, _p_pos_float, "1.0"),
-    "lr": (False, _p_pos_float, None),
-}
-
-_KDE_RATE_KEYS = {
-    "sizes": (True, _p_int_list, None),
-    "seeds": (False, _p_pos_int, "10"),
-}
-
-_SWEEP_KEYS = {
-    "n_real": (True, _p_pos_int, None),
-    "lambdas": (True, _p_float_list, None),
-    "max_generation": (True, _p_pos_int, None),
-}
-
-_PHASE_KEYS = {
-    "i_values": (True, _p_int_list, None),
-    "lambda_max": (False, _p_pos_float, "20.0"),
-    "lambda_steps": (False, _p_pos_int, "201"),
-}
-
-_BOUNDS_KEYS = {
-    "family": (False, _p_enum(*bounds.FAMILIES), "diffusion"),
-    "n": (True, _p_size_rule, None),
-    "d": (False, _p_pos_int, "1"),
-    "delta": (False, _p_pos_float, "0.1"),
-    "kl": (False, _p_float_list, "0.0"),
-    "s": (False, _p_pos_int, None),
-    "r_cap": (False, _p_pos_float, None),
-    "i": (False, _p_pos_int, None),
-}
-
-
-def _schema_for(scenario: str) -> dict[str, dict]:
-    schema = {"run": _RUN_KEYS}
-    if scenario == "kde_rate":
-        schema.update(target=_TARGET_KEYS, kde=_KDE_KEYS, kde_rate=_KDE_RATE_KEYS)
-    elif scenario in LOOP_SCENARIOS:
-        schema.update(
-            target=_TARGET_KEYS,
-            schedule=_SCHEDULE_KEYS,
-            loop=_LOOP_KEYS,
-            kde=_KDE_KEYS,
-            diffusion=_DIFFUSION_KEYS,
-        )
-    elif scenario == "fixed_ratio_sweep":
-        schema.update(
-            target=_TARGET_KEYS,
-            loop=_LOOP_KEYS,
-            kde=_KDE_KEYS,
-            diffusion=_DIFFUSION_KEYS,
-            sweep=_SWEEP_KEYS,
-        )
-    elif scenario == "bounds_report":
-        schema.update(schedule=_SCHEDULE_KEYS, bounds=_BOUNDS_KEYS)
-    elif scenario == "phase_transition":
-        schema.update(phase=_PHASE_KEYS)
-    return schema
 
 
 @dataclass
@@ -328,13 +281,14 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         errors.append("missing [run] section")
     if scenario not in SCENARIOS:
         errors.append(
-            f"run.scenario: {scenario!r} not one of {SCENARIOS}"
+            f"run.scenario: {scenario!r} not one of {tuple(SCENARIOS)}"
             if scenario
             else "run.scenario: missing required key"
         )
         raise ConfigError(errors)
 
-    schema = _schema_for(scenario)
+    sections_read, _ = SCENARIOS[scenario]
+    schema = {section: _SCHEMA[section] for section in ("run", *sections_read)}
     values: dict[str, dict] = {}
     echo: dict[str, dict[str, str]] = {}
 
@@ -418,10 +372,7 @@ def _build_schedule(kind, gens, n_real=None, m_synth=None, alpha=None, rows=None
 
 
 def _schedule_section(v: dict, errors: list[str]) -> MixtureSchedule | None:
-    kind = v.get("kind")
-    gens = v.get("max_generation")
-    if kind is None or gens is None:
-        return None
+    kind, gens = v["kind"], v["max_generation"]
     rows_raw = v.get("_rows", {})
     if kind != "general" and rows_raw:
         errors.append("schedule: explicit rows are only valid for kind general")
@@ -469,9 +420,8 @@ def _validate_semantics(scenario: str, values: dict, errors: list[str]) -> None:
     if "schedule" in values:
         schedule = _schedule_section(values["schedule"], errors)
         values["schedule_obj"] = schedule
-        # these loop scenarios are named after the one schedule kind they run
-        named = scenario in ("full_synthetic", "balanced", "real_each_gen")
-        if schedule is not None and named and schedule.kind != scenario:
+        # the loop scenarios named after a schedule kind run only that kind
+        if schedule is not None and scenario in mixing._KINDS and schedule.kind != scenario:
             errors.append(f"schedule.kind: scenario {scenario} requires kind {scenario}")
     if "kde" in values:
         kv = values["kde"]
@@ -683,11 +633,18 @@ def _run_phase_transition(cfg: ExperimentConfig, out_dir: Path) -> None:
     write_csv_atomic(out_dir / "phase.csv", PHASE_COLUMNS, rows)
 
 
-_RUNNERS = {
-    **dict.fromkeys((*LOOP_SCENARIOS, "fixed_ratio_sweep"), _run_loops),
-    "kde_rate": _run_kde_rate,
-    "bounds_report": _run_bounds_report,
-    "phase_transition": _run_phase_transition,
+# The one list of scenarios: each name maps to the config sections it reads
+# after [run], in the order they are checked and echoed to the manifest, and
+# to the runner that writes its outputs.
+SCENARIOS = {
+    "kde_rate": (("target", "kde", "kde_rate"), _run_kde_rate),
+    "full_synthetic": (("target", "schedule", "loop", "kde", "diffusion"), _run_loops),
+    "balanced": (("target", "schedule", "loop", "kde", "diffusion"), _run_loops),
+    "fixed_ratio_sweep": (("target", "loop", "kde", "diffusion", "sweep"), _run_loops),
+    "real_each_gen": (("target", "schedule", "loop", "kde", "diffusion"), _run_loops),
+    "diffusion_1d": (("target", "schedule", "loop", "kde", "diffusion"), _run_loops),
+    "bounds_report": (("schedule", "bounds"), _run_bounds_report),
+    "phase_transition": (("phase",), _run_phase_transition),
 }
 
 
@@ -695,7 +652,8 @@ def run_scenario(cfg: ExperimentConfig) -> int:
     """Run a parsed config's plan; writes output files plus a manifest."""
     started = time.time()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _RUNNERS[cfg.scenario](cfg, cfg.out_dir)
+    _, runner = SCENARIOS[cfg.scenario]
+    runner(cfg, cfg.out_dir)
     _write_manifest(cfg, cfg.out_dir, started)
     return EXIT_OK
 

@@ -17,6 +17,7 @@ from sclab.cli import (
     parse_config,
     run_scenario,
 )
+from sclab.distributions import GaussMixture1D
 from sclab.mixing import MixtureSchedule
 
 MINIMAL_KDE_RATE = """
@@ -99,6 +100,12 @@ i_values = 2, 0
 """
 
 MIXTURE = "gauss_mixture1d\ncomponents = {}, 0.5:2:1"
+
+GAUSS1D = "gauss1d\nmean = 0.0\nstd = 1.0"
+
+GENERAL_CONFIG = LOOP_CONFIG.replace(
+    "kind = full_synthetic\nmax_generation = 3", "kind = general\nmax_generation = 2\n{rows}"
+)
 
 
 class TestParseConfig:
@@ -283,6 +290,40 @@ max_generation = 2
         assert "fixed_ratio_sweep:lambda=0.5" in body
         assert "fixed_ratio_sweep:lambda=2" in body
 
+    def test_mixture_target_sweep(self, tmp_path):
+        text = f"""
+[run]
+scenario = fixed_ratio_sweep
+out_dir = {tmp_path}
+base_seed = 11
+replicates = 2
+
+[target]
+kind = gauss_mixture1d
+components = 0.5:-2:1, 0.5:2:1
+
+[loop]
+generator = kde
+sample_sizes = constant:100
+
+[sweep]
+n_real = 64
+lambdas = 0, 1, 4
+max_generation = 2
+"""
+        cfg = parse_config(text)
+        target = cfg.values["target_obj"]
+        assert isinstance(target, GaussMixture1D)
+        assert target.components == ((0.5, -2.0, 1.0), (0.5, 2.0, 1.0))
+        assert run_scenario(cfg) == EXIT_OK
+        rows = [line.split(",") for line in
+                (tmp_path / "results.csv").read_text().splitlines()[1:]]
+        labels = [row[0] for row in rows]
+        assert labels == [f"fixed_ratio_sweep:lambda={lam}" for lam in (0, 1, 4) for _ in range(4)]
+        for label, _, _, n_total, _, tv_est, *_ in rows:
+            assert int(n_total) == 64 * (1 + int(label.rpartition("=")[2]))  # n_real + m
+            assert 0.0 <= float(tv_est) <= 1.0
+
 
 class TestDeterminismAndManifest:
     def test_bit_identical_results(self, tmp_path):
@@ -429,6 +470,73 @@ lr = 1e18
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "config", "errors": [message]}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, flags, errors",
+        [
+            (LOOP_CONFIG.replace(GAUSS1D, "gauss_mixture1d"), [],
+             ["target.components: missing required key for mixtures"]),
+            (LOOP_CONFIG.replace(GAUSS1D, MIXTURE.format("0.5:2")), [],
+             ["target.components: component '0.5:2' is not weight:mean:std"]),
+            (LOOP_CONFIG.replace("constant:256", "quartic:0"), [],
+             ["loop.sample_sizes: 0.0 must be positive"]),
+            (LOOP_CONFIG.replace("constant:256", "balanced:-1"), [],
+             ["loop.sample_sizes: -1.0 must be positive"]),
+            (LOOP_CONFIG.replace("constant:256", "poisson:3"), [],
+             ["loop.sample_sizes: 'poisson:3': expected constant:N, list:n0,n1,..., "
+              "quartic:eps or balanced:eps"]),
+            (LOOP_CONFIG.replace("max_generation = 3", "max_generation = 3\nrow1 = 1.0, 0.0"), [],
+             ["schedule: explicit rows are only valid for kind general"]),
+            (GENERAL_CONFIG.replace("{rows}", "row1 = 0.5, 0.5"), [],
+             ["schedule.row2: missing required key"]),
+            (GENERAL_CONFIG.replace("{rows}", "row1 = 0.5, x\nrow2 = 0.25, 0.25, 0.5"), [],
+             ["schedule.row1: could not convert string to float: 'x'"]),
+            (GENERAL_CONFIG.replace(
+                "{rows}", "row1 = 0.5, 0.5\nrow2 = 0.25, 0.25, 0.5\nrow3 = 1, 0, 0, 0"), [],
+             ["schedule.row3: beyond max_generation 2"]),
+            (LOOP_CONFIG.replace("scenario = full_synthetic", "scenario = balanced"), [],
+             ["schedule.kind: scenario balanced requires kind balanced"]),
+            (LOOP_CONFIG.replace("scenario = full_synthetic", "scenario = diffusion_1d"), [],
+             ["loop.generator: diffusion_1d requires the diffusion generator"]),
+            (LOOP_CONFIG.replace("scenario = full_synthetic", "scenario = diffusion_1d")
+             .replace("generator = kde", "generator = diffusion").replace(GAUSS1D, "gauss2d"), [],
+             ["target: diffusion_1d needs a one-dimensional target"]),
+            (BOUNDS_CONFIG.format(n="constant:100", i=2) + "family = kde\n", [],
+             ["bounds.s: required for the kde family"]),
+            (BOUNDS_CONFIG.format(n="constant:100", i=2) + "family = flow\n", [],
+             ["bounds.r_cap: required for the flow family"]),
+            ("[run\nscenario = kde_rate\n", [],
+             ["syntax: File contains no section headers.\nfile: '<string>', line: 1\n'[run\\n'"]),
+            (MINIMAL_KDE_RATE.replace("[run]\nscenario = kde_rate\nbase_seed = 7\n", ""), [],
+             ["missing [run] section", "run.scenario: missing required key"]),
+            (MINIMAL_KDE_RATE.replace("scenario = kde_rate\n", ""), [],
+             ["run.scenario: missing required key"]),
+            (LOOP_CONFIG.replace("mean = 0.0", "mean = 0.0, 1.0"), [],
+             ["target: gauss1d mean must be one number"]),
+            (LOOP_CONFIG.replace("base_seed = 99", f"base_seed = {2**64}"), [],
+             ["run.base_seed: seed must fit in 64 bits"]),
+            (MINIMAL_KDE_RATE.replace("sizes = 128,256", "sizes = ,"), [],
+             ["kde_rate.sizes: empty list"]),
+            (LOOP_CONFIG, ["--replicates", "0"], ["run.replicates: 0 is not a positive count"]),
+        ],
+        ids=["mixture_components", "mixture_triple", "quartic_rule", "balanced_rule", "unknown_rule",
+             "rows_not_general", "row_missing", "row_bad", "row_beyond", "scenario_kind",
+             "diffusion_generator", "diffusion_2d_target", "bounds_s", "bounds_r_cap",
+             "syntax", "no_run_section", "no_scenario", "gauss1d_two_means", "seed_2_64",
+             "empty_count_list", "replicates_flag"],
+    )
+    def test_config_paths_refused(self, tmp_path, capsys, monkeypatch, text, flags, errors):
+        """Each case is refused with exactly ``errors``; ``--out`` is not passed,
+        because it would supply the [run] section that one case leaves out."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SCLAB_SEED", raising=False)
+        out = tmp_path / "out"
+        path = tmp_path / "bad.ini"
+        path.write_text(text.replace("{out}", str(out)))
+        assert main(["run", "--config", str(path), *flags]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "config", "errors": errors}
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -480,9 +480,9 @@ class TestReverseSample:
         cfg = DiffusionConfig(reverse_steps=100)
         with np.errstate(over="ignore", invalid="ignore"):
             step = per_step_oracle(net, cfg, 7, 3)
-        assert isinstance(step, int)
-        with pytest.raises(RuntimeError, match=rf"non-finite state at reverse step {step} "):
-            reverse_sample(net, cfg, 7, 3)
+            assert isinstance(step, int)
+            with pytest.raises(RuntimeError, match=rf"non-finite state at reverse step {step} "):
+                reverse_sample(net, cfg, 7, 3)
 
     def test_moments_with_analytic_score(self):
         s = reverse_sample(gauss_score_model(0, 1), CFG, 10**4, 3)
@@ -566,22 +566,6 @@ class TestReverseSampleMany:
         got = reverse_sample_many(trained_nets["plain"], CFG, [(0, 1), (0, 2)])
         assert rows == []
         assert [(r.points.shape, r.seed) for r in got] == [((0, 1), 1), ((0, 1), 2)]
-
-    def test_other_scores_run_each_request(self):
-        class ExplodingScore:
-            dim = 1
-
-            def evaluate(self, x, t, horizon):
-                return np.full_like(np.atleast_2d(x), 1e308)
-
-        cfg = DiffusionConfig(reverse_steps=40)
-        score = gauss_score_model(0, 1)
-        for (n, seed), res in zip(MANY, reverse_sample_many(score, cfg, MANY)):
-            assert np.array_equal(res.points, reverse_sample(score, cfg, n, seed).points)
-        (err,) = reverse_sample_many(ExplodingScore(), cfg, [(10, 0)])
-        with pytest.raises(RuntimeError) as info:
-            reverse_sample(ExplodingScore(), cfg, 10, 0)
-        assert isinstance(err, RuntimeError) and str(err) == str(info.value)
 
     @pytest.mark.parametrize("scale", [1e6, 1e20])
     def test_blow_up_leaves_only_its_request(self, scale):
@@ -695,6 +679,19 @@ class TestEvaluatedPass:
                     survivors += n > 0
         assert len(steps) >= 2  # requests blew up at different steps
         assert survivors >= 3
+
+    def test_exploding_score_error_matches_lone_call(self):
+        class ExplodingScore:
+            dim = 1
+
+            def evaluate(self, x, t, horizon):
+                return np.full_like(np.atleast_2d(x), 1e308)
+
+        cfg = DiffusionConfig(reverse_steps=40)
+        (err,) = reverse_sample_many(ExplodingScore(), cfg, [(10, 0)])
+        with pytest.raises(RuntimeError) as info:
+            reverse_sample(ExplodingScore(), cfg, 10, 0)
+        assert isinstance(err, RuntimeError) and str(err) == str(info.value)
 
 
 class TestDiffusionModelPool:
