@@ -272,13 +272,13 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
+    if "run" not in sections:
+        errors.append("missing [run] section")
     run = sections.get("run", {})
     if overrides:
         run = {**run, **{k: str(v) for k, v in overrides.items()}}
         sections = {**sections, "run": run}
     scenario = run.get("scenario")
-    if "run" not in sections:
-        errors.append("missing [run] section")
     if scenario not in SCENARIOS:
         errors.append(
             f"run.scenario: {scenario!r} not one of {tuple(SCENARIOS)}"

@@ -356,11 +356,7 @@ def _reverse_grid(cfg: DiffusionConfig) -> tuple[np.ndarray, float]:
     return ts, (cfg.horizon - cfg.t_min) / cfg.reverse_steps
 
 
-def _blow_up(ts: np.ndarray, k: int) -> RuntimeError:
-    return RuntimeError(f"non-finite state at reverse step {k + 1} (t = {ts[k + 1]:.6g})")
-
-
-def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list:
+def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list[SampleSet]:
     """One lockstep reverse pass of ``score`` over every ``(n, seed)`` request.
 
     The chains of all requests advance together as one (N, d) state, each
@@ -368,9 +364,10 @@ def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list:
     lone call draws them. A 1-d ``ScoreNet`` is scored for all chains by one
     ``lookup_1d`` per step on ``tables_1d`` built once per block of at most
     ``_TABLE_CELLS`` cells; any other score by ``evaluate`` on each request's
-    own rows, so dense rounding sees the row block a lone call passes. A
-    request whose state goes non-finite leaves the pass at that step with its
-    error; the others go on. Any exception the score raises propagates.
+    own rows, so dense rounding sees the row block a lone call passes.
+    Returns one ``SampleSet`` per request, or raises the non-finite-state
+    ``RuntimeError`` at the first step where any chain goes non-finite. Any
+    exception the score raises propagates.
     """
     ts, dt = _reverse_grid(cfg)
     sqrt_dt = math.sqrt(dt)
@@ -379,10 +376,9 @@ def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list:
         [rng.standard_normal((n, score.dim)) for rng, (n, _) in zip(rngs, requests)]
     )
     edges = np.cumsum([0] + [n for n, _ in requests])
-    live = [(i, edges[i], edges[i + 1]) for i in range(len(requests)) if edges[i + 1] > edges[i]]
-    results: list = [SampleSet(x[:0].copy(), seed) for _, seed in requests]  # kept if n = 0
+    live = [(rng, a, b) for rng, a, b in zip(rngs, edges[:-1], edges[1:]) if b > a]
     if not live:
-        return results
+        return [SampleSet(x.copy(), seed) for _, seed in requests]
     tabled = isinstance(score, ScoreNet) and score.dim == 1
     block = max(1, _TABLE_CELLS // (score.width + 1)) if tabled else cfg.reverse_steps
     noise = np.empty_like(x)
@@ -396,44 +392,29 @@ def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list:
                 s = np.concatenate(
                     [score.evaluate(x[a:b], ts[k], cfg.horizon) for _, a, b in live]
                 )
-            for i, a, b in live:
-                rngs[i].standard_normal(out=noise[a:b])
-            with np.errstate(over="ignore", invalid="ignore"):  # blow-ups leave below
+            for rng, a, b in live:
+                rng.standard_normal(out=noise[a:b])
+            with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below
                 x = x + (0.5 * x + s) * dt + sqrt_dt * noise
             if not np.isfinite(x).all():
-                x, noise, live = _drop_blown_up(x, live, results, _blow_up(ts, k))
-                if not live:
-                    return results
-    for i, a, b in live:
-        results[i] = SampleSet(x[a:b].copy(), requests[i][1])
-    return results
-
-
-def _drop_blown_up(x: np.ndarray, live: list, results: list, error: RuntimeError):
-    """Record ``error`` for each live request with a non-finite chain and
-    compact the pass to the rest."""
-    finite = np.isfinite(x)
-    keep, kept, start = [], [], 0
-    for i, a, b in live:
-        if finite[a:b].all():
-            keep.append(slice(a, b))
-            kept.append((i, start, start + b - a))
-            start += b - a
-        else:
-            results[i] = error
-    x = np.concatenate([x[sl] for sl in keep]) if keep else x[:0]
-    return x, np.empty_like(x), kept
+                raise RuntimeError(
+                    f"non-finite state at reverse step {k + 1} (t = {ts[k + 1]:.6g})"
+                )
+    return [
+        SampleSet(x[a:b].copy(), seed)
+        for (_, seed), a, b in zip(requests, edges[:-1], edges[1:])
+    ]
 
 
 def reverse_sample_many(score, cfg: DiffusionConfig, requests: list[tuple[int, int]]) -> list:
     """Every ``(n, seed)`` request of ``reverse_sample`` from as few passes as possible.
 
-    Returns one entry per request, in order: the ``SampleSet`` that
-    ``reverse_sample(score, cfg, n, seed)`` returns, or the non-finite-state
-    ``RuntimeError`` it raises for that request alone, naming the same step.
-    The requests run in lockstep passes of at most ``_PASS_POINTS`` chains (a
-    larger request runs alone). Any other exception, such as one raised by
-    the score's ``evaluate``, propagates.
+    Returns, in order, the ``SampleSet`` that ``reverse_sample(score, cfg, n,
+    seed)`` returns for each request. The requests run in order in lockstep
+    passes of at most ``_PASS_POINTS`` chains (a larger request runs alone).
+    The first pass with a non-finite state raises, naming the earliest step
+    at which any of its chains went non-finite; any other exception, such as
+    one raised by the score's ``evaluate``, propagates.
     """
     results, group, points = [], [], 0
     for n, seed in requests:
@@ -457,8 +438,6 @@ def reverse_sample(score, cfg: DiffusionConfig, n: int, seed: int) -> SampleSet:
     ``evaluate``, and every other score by one ``evaluate`` per step.
     """
     (result,) = _reverse_pass(score, cfg, [(n, seed)])
-    if isinstance(result, RuntimeError):
-        raise result
     return result
 
 
@@ -471,9 +450,10 @@ def draw_seed(rng: np.random.Generator) -> int:
 class DiffusionModel:
     """A trained score net with the sampler settings it was trained under.
 
-    ``pool`` holds draws served ahead of time by ``serve``, keyed by
-    ``(n, seed)``: each is the ``SampleSet`` or the blow-up ``RuntimeError``
-    of that ``reverse_sample`` call, and is removed when it is drawn.
+    ``pool`` holds draws served ahead of time by ``serve``: the ``SampleSet``
+    of each ``reverse_sample`` call, keyed by ``(n, seed)`` and removed when
+    it is drawn. A key served twice holds one draw; its second draw runs
+    afresh and gives the same bytes.
     """
 
     net: ScoreNet
@@ -482,21 +462,13 @@ class DiffusionModel:
 
     def serve(self, requests: list[tuple[int, int]]) -> None:
         """Run the ``(n, seed)`` requests in one ``reverse_sample_many`` and pool
-        them; an exception other than a blow-up propagates from here."""
-        for key, result in zip(requests, reverse_sample_many(self.net, self.cfg, requests)):
-            self.pool.setdefault(key, []).append(result)
+        them; a blow-up or any other exception propagates and pools nothing."""
+        self.pool.update(zip(requests, reverse_sample_many(self.net, self.cfg, requests)))
 
     def sample(self, n: int, seed: int) -> SampleSet:
         """``reverse_sample(net, cfg, n, seed)``, taken from the pool when served."""
-        served = self.pool.get((n, seed))
-        if not served:
-            return reverse_sample(self.net, self.cfg, n, seed)
-        result = served.pop()
-        if not served:
-            del self.pool[(n, seed)]
-        if isinstance(result, RuntimeError):
-            raise result
-        return result
+        served = self.pool.pop((n, seed), None)
+        return reverse_sample(self.net, self.cfg, n, seed) if served is None else served
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` reverse-SDE draws, seeded from ``rng``."""

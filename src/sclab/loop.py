@@ -50,20 +50,40 @@ class KdeGenerator:
         return model, {"bandwidth": model.bandwidth}, None
 
     def measurement(self, cfg: "LoopConfig", seeds):
-        """Per-run TV to p0 and to the previous mixture on one quadrature grid,
-        each kept model evaluated on it once; the replicate's ``seeds`` are
-        not needed."""
+        """Per-run TV to p0 and to the previous mixture on one quadrature grid
+        (the target's box at ``eval_nodes`` nodes), each kept model evaluated
+        on it once; the replicate's ``seeds`` are not needed."""
         p0, box, nodes = cfg.p0, cfg.p0.support_hint, cfg.eval_nodes
-        memo = _GridMemo()
+        values: dict[int, np.ndarray] = {}  # kept models' pdf on the grid, by model index
+
+        def on_grid(k, model):
+            def pdf(pts):
+                if k not in values:
+                    values[k] = model.pdf(pts)
+                return values[k]
+
+            return pdf
+
+        def mixture_pdf(weights, models):
+            alpha, betas = weights
+
+            def pdf(pts):
+                out = alpha * np.asarray(p0.pdf(pts), dtype=float)
+                for k, b in enumerate(betas, start=1):
+                    if b > 0.0:
+                        out = out + b * on_grid(k, models[k])(pts)
+                return out
+
+            return pdf
 
         def measure(g, model, weights, models):
-            memo.values = {k: v for k, v in memo.values.items() if k in models}
-            model_pdf = memo.pdf(g, model)
+            for k in values.keys() - models.keys():
+                del values[k]
+            model_pdf = on_grid(g, model)
             tv0 = tv_quadrature(model_pdf, p0.pdf, box, nodes=nodes)
             if g == 1:
                 return tv0, tv0
-            prev_pdf = memo.mixture_pdf(p0, weights, models)
-            return tv0, tv_quadrature(model_pdf, prev_pdf, box, nodes=nodes)
+            return tv0, tv_quadrature(model_pdf, mixture_pdf(weights, models), box, nodes=nodes)
 
         return measure
 
@@ -263,44 +283,6 @@ def _sources(schedule: MixtureSchedule, g: int) -> range:
     """The earlier models generation g >= 2 may draw from: all of them when
     the schedule needs the history, else only model g - 1."""
     return range(1, g) if schedule.needs_history else range(g - 1, g)
-
-
-class _GridMemo:
-    """Kept models' pdf values on the quadrature grid, each evaluated once.
-
-    Every quadrature TV of a run is taken on one grid (one box, one node
-    count). The first grid seen is stored; a call on an equal grid reads the
-    stored values, which are bit-equal to a fresh evaluation, and a call on
-    any other grid evaluates afresh.
-    """
-
-    def __init__(self):
-        self.grid: np.ndarray | None = None
-        self.values: dict[int, np.ndarray] = {}  # keyed by model index
-
-    def pdf(self, k: int, model: KdeModel):
-        def on_grid(pts):
-            if self.grid is None:
-                self.grid = pts
-            if not np.array_equal(pts, self.grid):
-                return model.pdf(pts)
-            if k not in self.values:
-                self.values[k] = model.pdf(pts)
-            return self.values[k]
-
-        return on_grid
-
-    def mixture_pdf(self, p0: TargetDensity, weights, models: dict[int, KdeModel]):
-        alpha, betas = weights
-
-        def pdf(pts):
-            out = alpha * np.asarray(p0.pdf(pts), dtype=float)
-            for k, b in enumerate(betas, start=1):
-                if b > 0.0:
-                    out = out + b * self.pdf(k, models[k])(pts)
-            return out
-
-        return pdf
 
 
 def _plan_draws(cfg: LoopConfig, seeds: np.ndarray, tv_seeds: list, mix_seeds: list) -> dict:

@@ -510,6 +510,8 @@ lr = 1e18
              ["syntax: File contains no section headers.\nfile: '<string>', line: 1\n'[run\\n'"]),
             (MINIMAL_KDE_RATE.replace("[run]\nscenario = kde_rate\nbase_seed = 7\n", ""), [],
              ["missing [run] section", "run.scenario: missing required key"]),
+            (MINIMAL_KDE_RATE.replace("[run]\nscenario = kde_rate\nbase_seed = 7\n", ""),
+             ["--seed", "7"], ["missing [run] section", "run.scenario: missing required key"]),
             (MINIMAL_KDE_RATE.replace("scenario = kde_rate\n", ""), [],
              ["run.scenario: missing required key"]),
             (LOOP_CONFIG.replace("mean = 0.0", "mean = 0.0, 1.0"), [],
@@ -523,12 +525,11 @@ lr = 1e18
         ids=["mixture_components", "mixture_triple", "quartic_rule", "balanced_rule", "unknown_rule",
              "rows_not_general", "row_missing", "row_bad", "row_beyond", "scenario_kind",
              "diffusion_generator", "diffusion_2d_target", "bounds_s", "bounds_r_cap",
-             "syntax", "no_run_section", "no_scenario", "gauss1d_two_means", "seed_2_64",
-             "empty_count_list", "replicates_flag"],
+             "syntax", "no_run_section", "no_run_section_seed_flag", "no_scenario",
+             "gauss1d_two_means", "seed_2_64", "empty_count_list", "replicates_flag"],
     )
     def test_config_paths_refused(self, tmp_path, capsys, monkeypatch, text, flags, errors):
-        """Each case is refused with exactly ``errors``; ``--out`` is not passed,
-        because it would supply the [run] section that one case leaves out."""
+        """Each case is refused with exactly ``errors``."""
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("SCLAB_SEED", raising=False)
         out = tmp_path / "out"

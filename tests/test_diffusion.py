@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -526,6 +527,22 @@ class TestReverseSample:
 MANY = [(0, 5), (1, 11), (7, 12), (300, 13), (7, 12), (1, 14)]
 
 
+def lone_blow_ups(score, cfg: DiffusionConfig, requests) -> tuple[dict, int]:
+    """The error text of each ``requests`` entry whose lone ``reverse_sample``
+    blows up, keyed by the step it names, and the count of nonempty requests
+    that do not blow up alone."""
+    errors, survivors = {}, 0
+    for n, seed in requests:
+        try:
+            reverse_sample(score, cfg, n, seed)
+        except RuntimeError as exc:
+            step = re.match(r"non-finite state at reverse step (\d+) ", str(exc)).group(1)
+            errors[int(step)] = str(exc)
+        else:
+            survivors += n > 0
+    return errors, survivors
+
+
 def one_unit_net(scale: float) -> ScoreNet:
     """A one-unit net active right of 0: a chain above 0 grows by 1 + scale*dt a
     step and blows up, one below it only drifts, so chains blow up at different
@@ -568,44 +585,28 @@ class TestReverseSampleMany:
         assert [(r.points.shape, r.seed) for r in got] == [((0, 1), 1), ((0, 1), 2)]
 
     @pytest.mark.parametrize("scale", [1e6, 1e20])
-    def test_blow_up_leaves_only_its_request(self, scale):
+    def test_blow_up_names_earliest_step(self, scale):
         net = one_unit_net(scale)
         cfg = DiffusionConfig(reverse_steps=100)
         requests = [(n, seed) for seed in range(10) for n in (1, 2)] + [(0, 3)]
         with np.errstate(over="ignore", invalid="ignore"):
-            got = reverse_sample_many(net, cfg, requests)
-            errors, survivors = set(), 0
-            for (n, seed), res in zip(requests, got):
-                try:
-                    want = reverse_sample(net, cfg, n, seed)
-                except RuntimeError as exc:
-                    assert isinstance(res, RuntimeError) and str(res) == str(exc)
-                    errors.add(str(exc))
-                else:
-                    assert np.array_equal(res.points, want.points)
-                    survivors += n > 0
-        assert len(errors) >= 2  # requests blew up at different steps
-        assert survivors >= 3
+            errors, survivors = lone_blow_ups(net, cfg, requests)
+            with pytest.raises(RuntimeError) as info:
+                reverse_sample_many(net, cfg, requests)
+        assert len(errors) >= 2  # lone requests blow up at different steps
+        assert survivors >= 3  # and some not at all
+        assert str(info.value) == errors[min(errors)]
 
     @pytest.mark.parametrize("scale", [1e6, 1e20])
-    def test_model_raises_only_the_drawn_blow_up(self, scale):
-        cfg = DiffusionConfig(reverse_steps=100)
-        model = DiffusionModel(one_unit_net(scale), cfg)
-        seeds = [diffusion.draw_seed(np.random.default_rng(i)) for i in range(10)]
+    def test_serve_raises_and_pools_nothing(self, scale):
+        model = DiffusionModel(one_unit_net(scale), DiffusionConfig(reverse_steps=100))
+        requests = [(2, diffusion.draw_seed(np.random.default_rng(i))) for i in range(10)]
         with np.errstate(over="ignore", invalid="ignore"):
-            model.serve([(2, seed) for seed in seeds])  # raises nothing
-            raised = 0
-            for i, seed in enumerate(seeds):
-                try:
-                    want = reverse_sample(model.net, cfg, 2, seed).points
-                except RuntimeError as exc:
-                    with pytest.raises(RuntimeError) as info:
-                        model.draw(2, np.random.default_rng(i))
-                    assert str(info.value) == str(exc)
-                    raised += 1
-                else:
-                    assert np.array_equal(model.draw(2, np.random.default_rng(i)), want)
-        assert 0 < raised < len(seeds)
+            errors, survivors = lone_blow_ups(model.net, model.cfg, requests)
+            with pytest.raises(RuntimeError) as info:
+                model.serve(requests)
+        assert errors and survivors
+        assert str(info.value) == errors[min(errors)]
         assert model.pool == {}
 
 
@@ -663,22 +664,15 @@ class TestEvaluatedPass:
         cfg = DiffusionConfig(reverse_steps=100)
         requests = [(n, seed) for seed in range(20) for n in (1, 2)] + [(0, 3)]
         with np.errstate(over="ignore", invalid="ignore"):
-            got = reverse_sample_many(net, cfg, requests)
-            steps, survivors = set(), 0
-            for (n, seed), res in zip(requests, got, strict=True):
-                want = evaluate_step_oracle(net, cfg, n, seed)
-                if isinstance(want, int):
-                    assert isinstance(res, RuntimeError)
-                    assert str(res).startswith(f"non-finite state at reverse step {want} ")
-                    with pytest.raises(RuntimeError) as info:
-                        reverse_sample(net, cfg, n, seed)
-                    assert str(info.value) == str(res)
-                    steps.add(want)
-                else:
-                    assert res.points.tobytes() == want.tobytes()
-                    survivors += n > 0
-        assert len(steps) >= 2  # requests blew up at different steps
+            oracle = [evaluate_step_oracle(net, cfg, n, seed) for n, seed in requests]
+            errors, survivors = lone_blow_ups(net, cfg, requests)
+            with pytest.raises(RuntimeError) as info:
+                reverse_sample_many(net, cfg, requests)
+        steps = {want for want in oracle if isinstance(want, int)}
+        assert set(errors) == steps and len(steps) >= 2  # lone calls blow up at different steps
         assert survivors >= 3
+        assert str(info.value).startswith(f"non-finite state at reverse step {min(steps)} ")
+        assert str(info.value) == errors[min(steps)]
 
     def test_exploding_score_error_matches_lone_call(self):
         class ExplodingScore:
@@ -688,10 +682,11 @@ class TestEvaluatedPass:
                 return np.full_like(np.atleast_2d(x), 1e308)
 
         cfg = DiffusionConfig(reverse_steps=40)
-        (err,) = reverse_sample_many(ExplodingScore(), cfg, [(10, 0)])
-        with pytest.raises(RuntimeError) as info:
+        with pytest.raises(RuntimeError) as lone:
             reverse_sample(ExplodingScore(), cfg, 10, 0)
-        assert isinstance(err, RuntimeError) and str(err) == str(info.value)
+        with pytest.raises(RuntimeError) as many:
+            reverse_sample_many(ExplodingScore(), cfg, [(10, 0), (3, 1)])
+        assert str(many.value) == str(lone.value)
 
 
 class TestDiffusionModelPool:
@@ -700,15 +695,17 @@ class TestDiffusionModelPool:
         seed = diffusion.draw_seed(np.random.default_rng(4))
         model.serve([(5, seed), (5, seed), (3, 9)])
         assert model == DiffusionModel(model.net, model.cfg)  # the pool is not compared
+        assert list(model.pool) == [(5, seed), (3, 9)]  # one draw per key
+        assert all(isinstance(served, SampleSet) for served in model.pool.values())
         lone = []
         sample = diffusion.reverse_sample
         monkeypatch.setattr(
             diffusion, "reverse_sample", lambda *a: lone.append(a[2:]) or sample(*a)
         )
         want = sample(model.net, model.cfg, 5, seed).points
-        for _ in range(3):  # two served draws, then a fresh one
-            assert np.array_equal(model.draw(5, np.random.default_rng(4)), want)
-        assert lone == [(5, seed)]
+        for fallbacks in ([], [(5, seed)]):  # the served draw, then a fresh one
+            assert model.draw(5, np.random.default_rng(4)).tobytes() == want.tobytes()
+            assert lone == fallbacks
         assert list(model.pool) == [(3, 9)]
         assert np.array_equal(model.sample(3, 9).points, sample(model.net, model.cfg, 3, 9).points)
         assert model.pool == {}

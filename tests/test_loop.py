@@ -1,3 +1,4 @@
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from sclab import diffusion, kernels, loop
 from sclab.cli import parse_config, run_scenario
 from sclab.diffusion import DiffusionConfig, ScoreNet
 from sclab.distributions import Gauss1D
+from sclab.divergences import tv_quadrature
 from sclab.kernels import KernelSpec
 from sclab.loop import (
     BalancedSizes,
@@ -146,17 +148,42 @@ class TestDecompositionConsistency:
             assert rec.tv_to_p0.value <= rhs + slack + 1e-9
 
 
-def count_kde_pdf(monkeypatch, probe=lambda: None):
-    """Record each kde_pdf call's model, and ``probe()`` at the time of the call."""
-    calls = []
+def count_kde_pdf(monkeypatch):
+    """Record each kde_pdf call's model, and how many arrays returned by earlier
+    calls are still alive at the time of the call."""
+    calls, outputs = [], []
     real = kernels.kde_pdf
 
     def counted(model, x):
-        calls.append((model, probe()))
-        return real(model, x)
+        calls.append((model, sum(ref() is not None for ref in outputs)))
+        out = real(model, x)
+        outputs.append(weakref.ref(out))
+        return out
 
     monkeypatch.setattr(kernels, "kde_pdf", counted)
     return calls
+
+
+def fresh_measurement(self, cfg, seeds):
+    """``KdeGenerator.measurement`` with every pdf evaluated afresh on the grid."""
+    p0, box, nodes = cfg.p0, cfg.p0.support_hint, cfg.eval_nodes
+
+    def measure(g, model, weights, models):
+        tv0 = tv_quadrature(model.pdf, p0.pdf, box, nodes=nodes)
+        if g == 1:
+            return tv0, tv0
+        alpha, betas = weights
+
+        def mixture_pdf(pts):
+            out = alpha * np.asarray(p0.pdf(pts), dtype=float)
+            for k, b in enumerate(betas, start=1):
+                if b > 0.0:
+                    out = out + b * models[k].pdf(pts)
+            return out
+
+        return tv0, tv_quadrature(model.pdf, mixture_pdf, box, nodes=nodes)
+
+    return measure
 
 
 MEMO_SCHEDULES = {
@@ -177,13 +204,13 @@ class TestGridMemo:
     @pytest.mark.parametrize("schedule", MEMO_SCHEDULES.values(), ids=MEMO_SCHEDULES)
     def test_records_bit_equal_to_fresh_evaluation(self, monkeypatch, schedule):
         cfg = kde_config(schedule, n=256)
-        memo = run_loop(cfg, 0)
-        monkeypatch.setattr(loop._GridMemo, "pdf", lambda self, k, model: model.pdf)
+        stored = run_loop(cfg, 0)
+        monkeypatch.setattr(KdeGenerator, "measurement", fresh_measurement)
         calls = count_kde_pdf(monkeypatch)
         fresh = run_loop(cfg, 0)
         assert len(calls) > 6  # the oracle re-evaluates kept models
         # exact float equality on every field, TV raw values and tolerances included
-        assert memo.records == fresh.records
+        assert stored.records == fresh.records
 
     @pytest.mark.parametrize(
         "name, kept",
@@ -194,31 +221,10 @@ class TestGridMemo:
         ],
     )
     def test_values_pruned_with_models(self, monkeypatch, name, kept):
-        memos = []
-
-        class Probe(loop._GridMemo):
-            def __init__(self):
-                super().__init__()
-                memos.append(self)
-
-        monkeypatch.setattr(loop, "_GridMemo", Probe)
-        calls = count_kde_pdf(monkeypatch, probe=lambda: len(memos[0].values))
+        calls = count_kde_pdf(monkeypatch)
         run_loop(kde_config(MEMO_SCHEDULES[name], n=128), 0)
         # values held from earlier generations when each new model is evaluated
         assert [held for _, held in calls] == kept
-
-    def test_other_grid_evaluated_afresh(self, monkeypatch):
-        model = kernels.fit(GAUSS.sample(64, 1), KernelSpec.gaussian())
-        grid = np.linspace(-4.0, 4.0, 33)[:, None]
-        other = np.linspace(-3.0, 3.0, 33)[:, None]
-        memo = loop._GridMemo()
-        pdf = memo.pdf(1, model)
-        calls = count_kde_pdf(monkeypatch)
-        assert np.array_equal(pdf(grid), model.pdf(grid))
-        assert pdf(grid.copy()) is memo.values[1]
-        assert np.array_equal(pdf(other), model.pdf(other))
-        assert len(calls) == 4  # one memoised call, one fresh, two direct
-        assert list(memo.values) == [1] and memo.grid is grid
 
 
 class TestSampleBudgets:
@@ -424,6 +430,29 @@ class TestDrawPlan:
         assert [net for net, _ in seen["passes"]] == [id(m.net) for m in seen["models"]]
         assert seen["fallbacks"] == []
         assert all(m.pool == {} for m in seen["models"])
+
+
+    def test_blow_up_fails_at_first_serve(self, monkeypatch):
+        seen = count_draws(monkeypatch)
+        fitted = DiffusionGenerator.fit  # the counting wrapper
+
+        def blown_up_fit(self, data, seed_row):
+            model, diagnostics, kl_prior = fitted(self, data, seed_row)
+            # one unit active right of 0: a chain above 0 blows up
+            net = ScoreNet(np.array([[1e20]]), np.array([[1.0]]), np.zeros((1, 8)))
+            return diffusion.DiffusionModel(net, model.cfg), diagnostics, kl_prior
+
+        taken = []
+        sample = diffusion.DiffusionModel.sample
+        monkeypatch.setattr(DiffusionGenerator, "fit", blown_up_fit)
+        monkeypatch.setattr(
+            diffusion.DiffusionModel, "sample", lambda model, *a: taken.append(a) or sample(model, *a)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="non-finite state at reverse step"):
+                run_loop(diffusion_config(MixtureSchedule.balanced(3)), 0)
+        assert len(seen["models"]) == 1  # generation 1's measure raised, in serve
+        assert len(seen["passes"]) == 1 and taken == [] and seen["fallbacks"] == []
 
 
 CONFIG_2D = Path(__file__).parent / "configs" / "diffusion_gauss2d.ini"
