@@ -213,6 +213,35 @@ def _taylor_order(rho: float) -> int | None:
     return None
 
 
+# the tap spectra of the last (reach, dx / h, size) that _grid_pdf saw, as
+# (key, spectra): one entry, replaced whole by a single assignment of a tuple
+# of read-only arrays, so a caller on another thread sees the old plan, the
+# new one or none, never a half-built one. A plan changes no bit of any value.
+_plan: tuple[tuple[int, float, int], tuple[np.ndarray, ...]] | None = None
+
+
+def _tap_spectra(reach: int, ratio: float, size: int, order: int):
+    """Yield, for m = 0 .. order, the real FFT of the taps He_m(l ratio)
+    phi(l ratio), |l| <= reach, lag l at index l mod ``size``, read-only.
+
+    Each is formed only when the caller asks for it, so a caller that uses
+    each spectrum as it comes keeps its data in cache.
+    """
+    u = np.arange(-reach, reach + 1) * ratio
+    phi = _phi(u)
+    taps = np.zeros(size)
+    he_prev, he = np.zeros_like(u), np.ones_like(u)
+    for m in range(order + 1):
+        if m:
+            he_prev, he = he, u * he - (m - 1) * he_prev  # He_m = u He_{m-1} - (m-1) He_{m-2}
+        kernel = he * phi
+        taps[: reach + 1] = kernel[reach:]
+        taps[size - reach :] = kernel[:reach]
+        spectrum = np.fft.rfft(taps)
+        spectrum.flags.writeable = False
+        yield spectrum
+
+
 def _grid_pdf(model: KdeModel, x: np.ndarray) -> np.ndarray | None:
     """The 1-d Gaussian estimate on a grid ``x`` by Taylor-expanded binning.
 
@@ -230,7 +259,13 @@ def _grid_pdf(model: KdeModel, x: np.ndarray) -> np.ndarray | None:
     is bitwise ``np.linspace(lo, hi, q)`` with q >= 2 and lo < hi, some order
     up to ``_MAX_ORDER`` is enough, and the kernel reaches no further than
     the grid is wide (which keeps the transforms shorter than 6q).
+
+    The tap spectra depend on the bandwidth and the grid only, so they are
+    kept in ``_plan`` and reused while ``(reach, dx / h, size)`` stays the
+    same: a loop that refits at one sample count transforms only the binned
+    coefficients, M + 2 real FFTs a call where a new key costs 2M + 3.
     """
+    global _plan
     q = x.size
     if q < 2 or not x[0] < x[-1]:
         return None
@@ -249,22 +284,27 @@ def _grid_pdf(model: KdeModel, x: np.ndarray) -> np.ndarray | None:
     node = node[near]
     offset = (pts[near] - (node * dx + lo)) / h
     bins = node.astype(np.intp) + reach
-    u = np.arange(-reach, reach + 1) * (dx / h)
-    phi = _phi(u)
     size = 1 << (q + 2 * reach - 1).bit_length()  # a circular length >= q + 2 reach
-    taps = np.zeros(size)  # lag l at index l mod size
-    he_prev, he = np.zeros_like(u), np.ones_like(u)
+    key = (reach, dx / h, size)  # fixes the taps, and the order through rho
+    plan = _plan
+    hit = plan is not None and plan[0] == key
+    if hit:
+        spectra = plan[1]
+    else:
+        _plan = plan = None  # release the old spectra before the new ones are built
+        spectra = _tap_spectra(*key, order)
+    built = []
     weight = np.ones_like(offset)
     total = 0.0
-    for m in range(order + 1):
-        if m:
-            he_prev, he = he, u * he - (m - 1) * he_prev  # He_m = u He_{m-1} - (m-1) He_{m-2}
-        kernel = he * phi
-        taps[: reach + 1] = kernel[reach:]
-        taps[size - reach :] = kernel[:reach]
+    for m, spectrum in enumerate(spectra):
+        if m:  # e^m / m!, updated in place: the same two roundings a step
+            weight *= offset
+            weight /= m
         coeffs = np.bincount(bins, weights=weight, minlength=q + 2 * reach)
-        total = total + np.fft.rfft(coeffs, size) * np.fft.rfft(taps)
-        weight = weight * offset / (m + 1)
+        total = total + np.fft.rfft(coeffs, size) * spectrum
+        built.append(spectrum)
+    if not hit:
+        _plan = (key, tuple(built))
     # node i sits at circular index i + reach; the rounding of the transforms
     # can leave tail values a little below zero, where the exact sum is >= 0
     out = np.maximum(np.fft.irfft(total, size)[reach : reach + q], 0.0)

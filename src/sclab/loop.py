@@ -51,10 +51,16 @@ class KdeGenerator:
 
     def measurement(self, cfg: "LoopConfig", seeds):
         """Per-run TV to p0 and to the previous mixture on one quadrature grid
-        (the target's box at ``eval_nodes`` nodes), each kept model evaluated
-        on it once; the replicate's ``seeds`` are not needed."""
+        (the target's box at ``eval_nodes`` nodes), p0 and each kept model
+        evaluated on it once; the replicate's ``seeds`` are not needed."""
         p0, box, nodes = cfg.p0, cfg.p0.support_hint, cfg.eval_nodes
         values: dict[int, np.ndarray] = {}  # kept models' pdf on the grid, by model index
+        target: list[np.ndarray] = []  # p0's pdf on the grid, once evaluated
+
+        def p0_pdf(pts):
+            if not target:
+                target.append(np.asarray(p0.pdf(pts), dtype=float))
+            return target[0]
 
         def on_grid(k, model):
             def pdf(pts):
@@ -68,7 +74,7 @@ class KdeGenerator:
             alpha, betas = weights
 
             def pdf(pts):
-                out = alpha * np.asarray(p0.pdf(pts), dtype=float)
+                out = alpha * p0_pdf(pts)
                 for k, b in enumerate(betas, start=1):
                     if b > 0.0:
                         out = out + b * on_grid(k, models[k])(pts)
@@ -80,7 +86,7 @@ class KdeGenerator:
             for k in values.keys() - models.keys():
                 del values[k]
             model_pdf = on_grid(g, model)
-            tv0 = tv_quadrature(model_pdf, p0.pdf, box, nodes=nodes)
+            tv0 = tv_quadrature(model_pdf, p0_pdf, box, nodes=nodes)
             if g == 1:
                 return tv0, tv0
             return tv0, tv_quadrature(model_pdf, mixture_pdf(weights, models), box, nodes=nodes)

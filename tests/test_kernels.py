@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -182,7 +183,8 @@ def concurrent_pdfs(model, x, workers):
 
 
 class TestThreadedPdf:
-    """The exact sum keeps no shared state: callers on threads get the serial bits."""
+    """Callers on threads get the serial bits: the exact sum keeps no shared
+    state, and the grid path's tap-spectra plan is published whole."""
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     @pytest.mark.parametrize("d, nodes", [(1, 4097), (2, 65)])
@@ -201,6 +203,24 @@ class TestThreadedPdf:
         expected = untiled_pdf(model, x)
         for value in concurrent_pdfs(model, x, workers):
             assert np.array_equal(value, expected)
+
+    def test_grid_path_at_two_bandwidths_interleaved(self):
+        # the tap-spectra plan is shared: threads that keep switching its key
+        # between two bandwidths must still each get the serial bytes
+        target = Gauss1D(0, 1)
+        x = grid_axes(target.support_hint, 4097)[0]
+        models = [fit(target.sample(n, 20 + n), KernelSpec.gaussian()) for n in (1024, 2048)]
+        serial = [per_order_pdf(model, x).tobytes() for model in models]
+        jobs = [k % 2 for k in range(48)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(kde_pdf, models[k], x) for k in jobs]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [value.tobytes() for value in got] == [serial[k] for k in jobs]
 
 
 # the grid path's error bound, in units of the exact sum's own rounding at the
@@ -306,6 +326,111 @@ class TestGridPdf:
     @pytest.mark.parametrize("rho, order", [(0.0, 0), (0.01, 6), (0.14, 12), (0.15, None)])
     def test_taylor_order(self, rho, order):
         assert kernels._taylor_order(rho) == order
+
+
+def per_order_pdf(model: KdeModel, x: np.ndarray) -> np.ndarray:
+    """``_grid_pdf`` with every kernel-tap spectrum transformed afresh, one
+    order at a time, as before the tap spectra were planned."""
+    q, lo, hi = x.size, float(x[0]), float(x[-1])
+    h = model.bandwidth
+    dx = (hi - lo) / (q - 1)
+    order = kernels._taylor_order(dx / (2.0 * h))
+    reach = math.ceil(model.kernel.support_radius() * h / dx)
+    pts = model.samples.points[:, 0]
+    node = np.rint((pts - lo) / dx)
+    near = (node >= -reach) & (node <= q - 1 + reach)
+    node = node[near]
+    offset = (pts[near] - (node * dx + lo)) / h
+    bins = node.astype(np.intp) + reach
+    u = np.arange(-reach, reach + 1) * (dx / h)
+    phi = kernels._phi(u)
+    size = 1 << (q + 2 * reach - 1).bit_length()
+    taps = np.zeros(size)
+    he_prev, he = np.zeros_like(u), np.ones_like(u)
+    weight = np.ones_like(offset)
+    total = 0.0
+    for m in range(order + 1):
+        if m:
+            he_prev, he = he, u * he - (m - 1) * he_prev
+        kernel = he * phi
+        taps[: reach + 1] = kernel[reach:]
+        taps[size - reach :] = kernel[:reach]
+        coeffs = np.bincount(bins, weights=weight, minlength=q + 2 * reach)
+        total = total + np.fft.rfft(coeffs, size) * np.fft.rfft(taps)
+        weight = weight * offset / (m + 1)
+    out = np.maximum(np.fft.irfft(total, size)[reach : reach + q], 0.0)
+    out /= pts.shape[0] * h
+    return out
+
+
+def count_ffts(monkeypatch) -> list:
+    """Record the name of each ``np.fft`` transform called from here on."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        real = getattr(np.fft, name)
+        monkeypatch.setattr(
+            np.fft, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k)
+        )
+    return calls
+
+
+def gauss1d_model_and_grid(n: int, seed: int):
+    """A Gaussian estimate of n draws of N(0, 1) and its 4097-node quadrature grid."""
+    target = Gauss1D(0, 1)
+    return fit(target.sample(n, seed), KernelSpec.gaussian()), grid_axes(target.support_hint, 4097)[0]
+
+
+def plain_model_and_grid(n, h, nodes, lo, hi, seed):
+    pts = np.random.default_rng(seed).normal(0.5 * (lo + hi), 0.3 * (hi - lo), (n, 1))
+    model = KdeModel(SampleSet(pts, 0), KernelSpec.gaussian(), bandwidth=h)
+    return model, np.linspace(lo, hi, nodes)
+
+
+class TestGridPlan:
+    """The kernel-tap spectra kept across ``_grid_pdf`` calls change no bit."""
+
+    CASES = {
+        "gauss1d_2048": lambda: gauss1d_model_and_grid(2048, 3),
+        "wide_kernel_8193": lambda: plain_model_and_grid(16384, 2.0, 8193, -16.16, 16.16, 0),
+        "order_12_1024": lambda: plain_model_and_grid(5000, 0.05, 1024, -4.2, 10.2, 1),
+        "even_1024": lambda: plain_model_and_grid(700, 0.4, 1024, -3.0, 5.0, 2),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=list(CASES))
+    def test_cold_warm_and_switch_match_oracle(self, monkeypatch, case):
+        model, x = self.CASES[case]()
+        other, _ = gauss1d_model_and_grid(1024, 4)  # another bandwidth and grid
+        expected = per_order_pdf(model, x).tobytes()
+        monkeypatch.setattr(kernels, "_plan", None)
+        assert kernels._grid_pdf(model, x).tobytes() == expected  # cold
+        key = kernels._plan[0]
+        assert kernels._grid_pdf(model, x).tobytes() == expected  # warm
+        for switch_x in (x, grid_axes(((-10.0, 10.0),), 2049)[0]):
+            assert kernels._grid_pdf(other, switch_x) is not None
+            assert kernels._plan[0] != key
+            assert kernels._grid_pdf(model, x).tobytes() == expected  # after a switch
+            assert kernels._plan[0] == key
+
+    def test_fft_counts_cold_and_warm(self, monkeypatch):
+        model, x = gauss1d_model_and_grid(2048, 3)
+        monkeypatch.setattr(kernels, "_plan", None)
+        calls = count_ffts(monkeypatch)
+        kernels._grid_pdf(model, x)
+        assert len(kernels._plan[1]) == 7  # order M = 6
+        assert len(calls) == 15  # (M + 1) coefficient and tap transforms, one inverse
+        del calls[:]
+        kernels._grid_pdf(model, x)
+        assert calls == ["rfft"] * 7 + ["irfft"]
+
+    def test_plan_is_read_only(self, monkeypatch):
+        model, x = gauss1d_model_and_grid(2048, 3)
+        monkeypatch.setattr(kernels, "_plan", None)
+        kernels._grid_pdf(model, x)
+        key, spectra = kernels._plan
+        assert key[2] == 8192 and [s.shape for s in spectra] == [(4097,)] * 7
+        for spectrum in spectra:
+            with pytest.raises(ValueError):
+                spectrum[0] = 0.0
 
 
 class TestSampling:

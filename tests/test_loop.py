@@ -197,9 +197,13 @@ class TestGridMemo:
     @pytest.mark.parametrize("schedule", MEMO_SCHEDULES.values(), ids=MEMO_SCHEDULES)
     def test_each_model_evaluated_once(self, monkeypatch, schedule):
         calls = count_kde_pdf(monkeypatch)
+        target_calls = []
+        real = Gauss1D.pdf
+        monkeypatch.setattr(Gauss1D, "pdf", lambda self, x: target_calls.append(x) or real(self, x))
         run_loop(kde_config(schedule, n=256), 0)
         assert len(calls) == 6
         assert len({id(model) for model, _ in calls}) == 6
+        assert len(target_calls) == 1  # p0 too
 
     @pytest.mark.parametrize("schedule", MEMO_SCHEDULES.values(), ids=MEMO_SCHEDULES)
     def test_records_bit_equal_to_fresh_evaluation(self, monkeypatch, schedule):
@@ -225,6 +229,51 @@ class TestGridMemo:
         run_loop(kde_config(MEMO_SCHEDULES[name], n=128), 0)
         # values held from earlier generations when each new model is evaluated
         assert [held for _, held in calls] == kept
+
+
+KDE_SIZES_CONFIG = Path(__file__).parent / "configs" / "kde_sizes.ini"
+
+
+def run_kde_sizes(out: Path) -> None:
+    run_scenario(parse_config(KDE_SIZES_CONFIG.read_text(), {"out_dir": str(out)}))
+
+
+class TestGridPlan:
+    """The grid path's kernel-tap spectra, kept across calls, change no record."""
+
+    def test_balanced_loop_run_twice_gives_equal_records(self, monkeypatch):
+        cfg = kde_config(MEMO_SCHEDULES["balanced"], n=2048)
+        monkeypatch.setattr(kernels, "_plan", None)
+        first = run_loop(cfg, 0)  # cold at its first fit
+        second = run_loop(cfg, 0)  # warm from the first run's last fit
+        assert first.records == second.records
+
+    def test_sizes_config_misses_only_when_size_changes(self, monkeypatch, tmp_path):
+        # the CI runs the same file twice and compares the CSVs
+        misses = []
+        real_spectra = kernels._tap_spectra
+        monkeypatch.setattr(
+            kernels, "_tap_spectra", lambda *a: misses.append(a[0]) or real_spectra(*a)
+        )
+        calls = count_kde_pdf(monkeypatch)
+        monkeypatch.setattr(kernels, "_plan", None)
+        run_kde_sizes(tmp_path / "planned")
+        assert [model.samples.n for model, _ in calls] == [1024, 1024, 2048, 2048, 1024, 1024]
+        assert len(misses) == 3 and misses[0] == misses[2] != misses[1]  # reach in nodes
+
+        real_pdf = kernels.kde_pdf
+
+        def cold(model, x):
+            kernels._plan = None  # the monkeypatch above restores it afterwards
+            return real_pdf(model, x)
+
+        monkeypatch.setattr(kernels, "kde_pdf", cold)
+        del misses[:]
+        run_kde_sizes(tmp_path / "cold")
+        assert len(misses) == 6
+        for name in ("results.csv", "bounds.csv"):
+            planned = (tmp_path / "planned" / name).read_bytes()
+            assert planned == (tmp_path / "cold" / name).read_bytes()
 
 
 class TestSampleBudgets:
