@@ -228,7 +228,9 @@ def _gauss_crossings(a: Gauss1D, b: Gauss1D) -> list[float]:
     ca = 0.5 * (s1 - s2) * (s1 + s2) / (s1 * s2) ** 2
     cb = m1 / s1**2 - m2 / s2**2
     cc = 0.5 * (m2**2 / s2**2 - m1**2 / s1**2) + math.log(s2 / s1)
-    disc = cb * cb - 4.0 * ca * cc
+    # cb² - 4·ca·cc as two terms that are both >= 0: formed directly, the two
+    # products cancel when one std is far below the other (about 9e38 at 1e-10)
+    disc = ((m1 - m2) ** 2 + 2.0 * (s1 - s2) * (s1 + s2) * math.log(s1 / s2)) / (s1 * s2) ** 2
     if disc <= 0:  # no crossing, or a touching point where the sign holds
         return []
     q = -0.5 * (cb + math.copysign(math.sqrt(disc), cb))
@@ -240,8 +242,12 @@ def analytic_tv_gauss1d(a: Gauss1D, b: Gauss1D) -> float:
 
     The density crossings split the line into intervals on each of which one
     density dominates, so TV = 1/2 * sum over the intervals of
-    |P_a(interval) - P_b(interval)|, with Phi(x) = erfc(-x/sqrt(2))/2.
+    |P_a(interval) - P_b(interval)|, with Phi(x) = erfc(-x/sqrt(2))/2. The
+    line is shifted to the narrower density's mean first, so its crossings
+    stay apart when its std is below the spacing of doubles at that mean.
     """
+    c = a.mean if a.std <= b.std else b.mean
+    a, b = Gauss1D(a.mean - c, a.std), Gauss1D(b.mean - c, b.std)
     cuts = [-math.inf, *_gauss_crossings(a, b), math.inf]
 
     def cdf(g: Gauss1D, x: float) -> float:

@@ -50,14 +50,6 @@ def grid_axes(box: Box, nodes: int) -> list[np.ndarray]:
     return [np.linspace(lo, hi, nodes) for lo, hi in box]
 
 
-def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Flattened (q, d) evaluation points for a tensor grid."""
-    if len(axes) == 1:
-        return axes[0][:, None]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def _trapz_grid(values: np.ndarray, axes: Sequence[np.ndarray]) -> float:
     v = values.reshape([len(ax) for ax in axes])
     for ax in reversed(axes):
@@ -76,19 +68,32 @@ def _check_grid(box: Box, nodes: int) -> None:
         raise ValueError(f"nodes must be >= {MIN_NODES} per dimension")
 
 
-def tv_quadrature(pdf_a: PdfFn, pdf_b: PdfFn, box: Box, nodes: int = 4096) -> TVEstimate:
-    """Trapezoid-rule TV: integral of |pdf_a - pdf_b| / 2 over ``box``.
+def _grid(box: Box, nodes: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Axes and flattened (q, d) points of the tensor grid on ``box``."""
+    _check_grid(box, nodes)
+    axes = grid_axes(box, nodes)
+    if len(axes) == 1:
+        return axes, axes[0][:, None]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return axes, np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def tv_grid(box: Box, nodes: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """``tv_quadrature``'s grid on ``box``: its axes and (q, d) points. ``nodes`` is
+    made odd, so the halved grid of the tolerance keeps both endpoints (a count
+    below ``MIN_NODES`` stays below it, and is refused)."""
+    return _grid(box, nodes | 1)
+
+
+def tv_on_grid(a: np.ndarray, b: np.ndarray, axes: Sequence[np.ndarray]) -> TVEstimate:
+    """Trapezoid-rule TV from two densities' values on a ``tv_grid``: the
+    integral of |a - b| / 2.
 
     The reported tolerance is the Richardson difference between the full grid
     and the grid with every second node dropped. Works for signed estimates
     (the integrand takes absolute values).
     """
-    _check_grid(box, nodes)
-    if nodes % 2 == 0:
-        nodes += 1  # odd count: the halved grid keeps both endpoints
-    axes = grid_axes(box, nodes)
-    pts = grid_points(axes)
-    diff = np.abs(np.asarray(pdf_a(pts), dtype=float) - np.asarray(pdf_b(pts), dtype=float))
+    diff = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     fine = 0.5 * _trapz_grid(diff, axes)
     shape = [len(ax) for ax in axes]
     grid = diff.reshape(shape)
@@ -97,6 +102,13 @@ def tv_quadrature(pdf_a: PdfFn, pdf_b: PdfFn, box: Box, nodes: int = 4096) -> TV
         grid[coarse_slices].ravel(), [ax[::2] for ax in axes]
     )
     return _clamped(fine, "quadrature", abs(fine - coarse))
+
+
+def tv_quadrature(pdf_a: PdfFn, pdf_b: PdfFn, box: Box, nodes: int = 4096) -> TVEstimate:
+    """Trapezoid-rule TV of two pdfs over ``box``: ``tv_on_grid`` of their
+    values on ``tv_grid(box, nodes)``."""
+    axes, pts = tv_grid(box, nodes)
+    return tv_on_grid(pdf_a(pts), pdf_b(pts), axes)
 
 
 def default_bins(n_a: int, n_b: int) -> int:
@@ -140,9 +152,7 @@ def kl_quadrature(pdf_a: PdfFn, pdf_b: PdfFn, box: Box, nodes: int = 4096) -> fl
 
     Points with a == 0 contribute zero; b == 0 anywhere a > 0 yields +inf.
     """
-    _check_grid(box, nodes)
-    axes = grid_axes(box, nodes)
-    pts = grid_points(axes)
+    axes, pts = _grid(box, nodes)
     va = np.asarray(pdf_a(pts), dtype=float)
     vb = np.asarray(pdf_b(pts), dtype=float)
     pos = va > 0.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, diffusion, kernels
 from .distributions import TargetDensity
-from .divergences import MIN_NODES, TVEstimate, tv_histogram, tv_quadrature
+from .divergences import MIN_NODES, TVEstimate, tv_grid, tv_histogram, tv_on_grid
 from .kernels import KdeModel, KernelSpec
 from .mixing import MixtureSchedule, sample_mixture
 
@@ -51,45 +51,26 @@ class KdeGenerator:
 
     def measurement(self, cfg: "LoopConfig", seeds):
         """Per-run TV to p0 and to the previous mixture on one quadrature grid
-        (the target's box at ``eval_nodes`` nodes), p0 and each kept model
-        evaluated on it once; the replicate's ``seeds`` are not needed."""
-        p0, box, nodes = cfg.p0, cfg.p0.support_hint, cfg.eval_nodes
+        (``tv_grid`` of the target's box at ``eval_nodes`` nodes), built once,
+        with p0 and each kept model evaluated on it once; the replicate's
+        ``seeds`` are not needed."""
+        axes, pts = tv_grid(cfg.p0.support_hint, cfg.eval_nodes)
+        target = np.asarray(cfg.p0.pdf(pts), dtype=float)
         values: dict[int, np.ndarray] = {}  # kept models' pdf on the grid, by model index
-        target: list[np.ndarray] = []  # p0's pdf on the grid, once evaluated
-
-        def p0_pdf(pts):
-            if not target:
-                target.append(np.asarray(p0.pdf(pts), dtype=float))
-            return target[0]
-
-        def on_grid(k, model):
-            def pdf(pts):
-                if k not in values:
-                    values[k] = model.pdf(pts)
-                return values[k]
-
-            return pdf
-
-        def mixture_pdf(weights, models):
-            alpha, betas = weights
-
-            def pdf(pts):
-                out = alpha * p0_pdf(pts)
-                for k, b in enumerate(betas, start=1):
-                    if b > 0.0:
-                        out = out + b * on_grid(k, models[k])(pts)
-                return out
-
-            return pdf
 
         def measure(g, model, weights, models):
             for k in values.keys() - models.keys():
                 del values[k]
-            model_pdf = on_grid(g, model)
-            tv0 = tv_quadrature(model_pdf, p0_pdf, box, nodes=nodes)
+            values[g] = model.pdf(pts)
+            tv0 = tv_on_grid(values[g], target, axes)
             if g == 1:
                 return tv0, tv0
-            return tv0, tv_quadrature(model_pdf, mixture_pdf(weights, models), box, nodes=nodes)
+            alpha, betas = weights
+            mixture = alpha * target
+            for k, b in enumerate(betas, start=1):
+                if b > 0.0:
+                    mixture = mixture + b * values[k]
+            return tv0, tv_on_grid(values[g], mixture, axes)
 
         return measure
 

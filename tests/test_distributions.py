@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from sclab.distributions import (
     Gauss2D,
     GaussMixture1D,
     SampleSet,
+    _gauss_crossings,
     analytic_tv_gauss1d,
     kl_gauss1d,
 )
@@ -49,6 +52,25 @@ def _oracle_pairs():
     for _ in range(20):
         yield (Gauss1D(float(rng.uniform(-4, 4)), float(rng.uniform(0.2, 3))),
                Gauss1D(float(rng.uniform(-4, 4)), float(rng.uniform(0.2, 3))))
+
+
+def _log_ratio_terms(a, b, x):
+    """log pdf_a(x) - log pdf_b(x), written as ca*x^2 + cb*x + cc + log(s_b/s_a),
+    and the sum of its terms' sizes: the quadratic terms exact in rationals,
+    the log term in floats."""
+    s1, s2, m1, m2, x = map(Fraction, (a.std, b.std, a.mean, b.mean, x))
+    terms = [
+        (s1**2 - s2**2) / (2 * s1**2 * s2**2) * x * x,
+        (m1 / s1**2 - m2 / s2**2) * x,
+        m2**2 / (2 * s2**2) - m1**2 / (2 * s1**2),
+    ]
+    log_term = math.log(b.std / a.std)
+    return float(sum(terms)) + log_term, float(sum(abs(t) for t in terms)) + abs(log_term)
+
+
+# std of a collapsed Gaussian against N(0, 1); from about 1e-17 its two
+# crossings round to one double at means near 1, unless the line is shifted
+COLLAPSED_RATIOS = (1e-6, 1e-8, 1e-10, 1e-12, 1e-15, 1e-20, 1e-30)
 
 
 class TestSampling:
@@ -211,6 +233,25 @@ class TestAnalyticTV:
             assert 0.0 <= ab <= 1.0
             if (a.mean, a.std) != (b.mean, b.std):
                 assert ab > 0.0
+
+    @pytest.mark.parametrize("mean", [0.01, 0.3, 3.0])
+    @pytest.mark.parametrize("collapsed_first", [True, False], ids=["narrow_a", "narrow_b"])
+    def test_collapsed_gaussian(self, mean, collapsed_first):
+        # a point-like Gaussian against N(0, 1): TV is 1 less the standard
+        # normal's mass on the narrow interval between the two crossings
+        tvs = []
+        for ratio in COLLAPSED_RATIOS:
+            a, b = Gauss1D(mean, ratio), Gauss1D(0.0, 1.0)
+            if not collapsed_first:
+                a, b = b, a
+            crossings = _gauss_crossings(a, b)
+            assert len(crossings) == 2
+            for x in crossings:
+                residual, size = _log_ratio_terms(a, b, x)
+                assert abs(residual) <= 4 * sys.float_info.epsilon * size
+            tvs.append(analytic_tv_gauss1d(a, b))
+        assert all(abs(tv - 1.0) <= 1e-5 for tv in tvs)
+        assert tvs == sorted(tvs)  # does not decrease as the ratio falls
 
 
 class TestKL:

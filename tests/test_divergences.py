@@ -9,7 +9,9 @@ from sclab.divergences import (
     TVEstimate,
     default_bins,
     kl_quadrature,
+    tv_grid,
     tv_histogram,
+    tv_on_grid,
     tv_quadrature,
 )
 
@@ -69,6 +71,73 @@ class TestTVQuadrature:
             ac = tv_quadrature(ds[0].pdf, ds[2].pdf, box, nodes=2048)
             slack = 2 * (ab.tolerance + bc.tolerance + ac.tolerance)
             assert ac.value <= ab.value + bc.value + slack
+
+
+def _bits(est):
+    return [est.value.hex(), est.tolerance.hex(), est.raw_value.hex()]
+
+
+def _signed(pts):
+    return Gauss1D(0, 1).pdf(pts) * np.cos(np.asarray(pts)[:, 0] * 3.0)
+
+
+SPLIT_CASES = {
+    "1d_even": (Gauss1D(0, 1).pdf, Gauss1D(1, 1).pdf, ((-11.0, 12.0),), 1024),
+    "1d_odd": (Gauss1D(0, 1).pdf, Gauss1D(0.5, 2).pdf, ((-20.0, 20.0),), 2049),
+    "1d_signed": (_signed, Gauss1D(0, 1).pdf, STD_BOX, 4096),
+    "2d_even": (Gauss2D((0, 0), (1, 1)).pdf, Gauss2D((1, 0), (1, 2)).pdf, ((-8, 9), (-9, 9)), 1024),
+    "2d_odd": (Gauss2D((0, 0), (1, 1)).pdf, Gauss2D((0, 1), (2, 1)).pdf, ((-9, 9), (-8, 9)), 1025),
+}
+
+REFUSED_GRIDS = {
+    "no_dims": ((), 4096),
+    "three_dims": (((-1, 1),) * 3, 4096),
+    "empty_interval": (((1.0, 1.0),), 4096),
+    "reversed_interval": (((-1.0, 1.0), (2.0, 1.0)), 4096),
+    "two_nodes": (STD_BOX, 2),
+    "512_nodes": (STD_BOX, 512),
+    "odd_below_min": (STD_BOX, MIN_NODES - 1),
+    "even_below_min": (STD_BOX, MIN_NODES - 2),
+    "2d_below_min": (((-1, 1), (-1, 1)), MIN_NODES - 1),
+}
+
+
+class TestGridSplit:
+    """``tv_quadrature`` is ``tv_on_grid`` of the two pdfs' values on ``tv_grid``."""
+
+    @pytest.mark.parametrize("pdf_a, pdf_b, box, nodes", SPLIT_CASES.values(), ids=SPLIT_CASES)
+    def test_quadrature_is_rule_on_grid_bit_for_bit(self, pdf_a, pdf_b, box, nodes):
+        axes, pts = tv_grid(box, nodes)
+        split = tv_on_grid(pdf_a(pts), pdf_b(pts), axes)
+        whole = tv_quadrature(pdf_a, pdf_b, box, nodes)
+        assert _bits(split) == _bits(whole)
+        assert split == whole
+
+    @pytest.mark.parametrize("nodes, odd", [(1024, 1025), (1025, 1025), (4096, 4097)])
+    def test_grid_has_odd_node_count(self, nodes, odd):
+        box = ((-2.0, 3.0), (-1.0, 1.0))
+        axes, pts = tv_grid(box, nodes)
+        assert [len(ax) for ax in axes] == [odd, odd]
+        assert pts.shape == (odd * odd, 2)
+        # row-major: the first axis varies slowest
+        assert pts[1].tolist() == [-2.0, axes[1][1]]
+        assert pts[odd].tolist() == [axes[0][1], -1.0]
+        (ax,), pts_1d = tv_grid(box[:1], nodes)
+        assert pts_1d.shape == (odd, 1) and ax[[0, -1]].tolist() == [-2.0, 3.0]
+
+    @pytest.mark.parametrize("box, nodes", REFUSED_GRIDS.values(), ids=REFUSED_GRIDS)
+    def test_grid_refuses_what_quadrature_refuses(self, box, nodes):
+        g = Gauss1D(0, 1)
+        messages = []
+        for build in (
+            lambda: tv_quadrature(g.pdf, g.pdf, box, nodes),
+            lambda: tv_grid(box, nodes),
+            lambda: kl_quadrature(g.pdf, g.pdf, box, nodes),
+        ):
+            with pytest.raises(ValueError) as err:
+                build()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == messages[2]
 
 
 class TestTVHistogram:

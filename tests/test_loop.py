@@ -231,6 +231,16 @@ class TestGridMemo:
         assert [held for _, held in calls] == kept
 
 
+class TestGridBuiltOnce:
+    @pytest.mark.parametrize("schedule", MEMO_SCHEDULES.values(), ids=MEMO_SCHEDULES)
+    def test_one_grid_per_run(self, monkeypatch, schedule):
+        grids = []
+        real = loop.tv_grid
+        monkeypatch.setattr(loop, "tv_grid", lambda *args: grids.append(args) or real(*args))
+        run_loop(kde_config(schedule, n=256), 0)
+        assert grids == [(GAUSS.support_hint, 4096)]
+
+
 KDE_SIZES_CONFIG = Path(__file__).parent / "configs" / "kde_sizes.ini"
 
 
