@@ -222,15 +222,17 @@ def _gauss_crossings(a: Gauss1D, b: Gauss1D) -> list[float]:
     m1, m2 = a.mean, b.mean
     if s1 == s2:
         return [] if m1 == m2 else [(m1 + m2) / 2.0]
-    # log pdf_a - log pdf_b is quadratic in x; ca is formed from s1 - s2, and
-    # each root is taken in the form that avoids cancellation, so a crossing
-    # keeps full precision as s2/s1 -> 1
-    ca = 0.5 * (s1 - s2) * (s1 + s2) / (s1 * s2) ** 2
-    cb = m1 / s1**2 - m2 / s2**2
-    cc = 0.5 * (m2**2 / s2**2 - m1**2 / s1**2) + math.log(s2 / s1)
+    # (log pdf_a - log pdf_b) * s1 * s2 is quadratic in x. Scaled by s1 * s2,
+    # no coefficient holds (s1 * s2)^2, which underflows to 0 once the product
+    # of the stds is below about 1e-162; ca is formed from s1 - s2, and each
+    # root is taken in the form that avoids cancellation, so a crossing keeps
+    # full precision as s2/s1 -> 1
+    ca = 0.5 * (s1 - s2) * (s1 + s2) / (s1 * s2)
+    cb = m1 * (s2 / s1) - m2 * (s1 / s2)
+    cc = 0.5 * (m2**2 * (s1 / s2) - m1**2 * (s2 / s1)) + s1 * s2 * math.log(s2 / s1)
     # cb² - 4·ca·cc as two terms that are both >= 0: formed directly, the two
-    # products cancel when one std is far below the other (about 9e38 at 1e-10)
-    disc = ((m1 - m2) ** 2 + 2.0 * (s1 - s2) * (s1 + s2) * math.log(s1 / s2)) / (s1 * s2) ** 2
+    # products cancel when one std is far below the other
+    disc = (m1 - m2) ** 2 + 2.0 * (s1 - s2) * (s1 + s2) * math.log(s1 / s2)
     if disc <= 0:  # no crossing, or a touching point where the sign holds
         return []
     q = -0.5 * (cb + math.copysign(math.sqrt(disc), cb))

@@ -253,6 +253,20 @@ class TestAnalyticTV:
         assert all(abs(tv - 1.0) <= 1e-5 for tv in tvs)
         assert tvs == sorted(tvs)  # does not decrease as the ratio falls
 
+    @pytest.mark.parametrize("mean", [0.01, 0.3, 3.0])
+    @pytest.mark.parametrize("collapsed_first", [True, False], ids=["narrow_a", "narrow_b"])
+    def test_collapsed_past_squared_std_underflow(self, mean, collapsed_first):
+        # (1e-170)^2 underflows to 0, so no crossing may be formed from a
+        # squared std or a squared product of the two
+        tvs = []
+        for ratio in (1e-160, 1e-170, 1e-200, 1e-250, 1e-300):
+            a, b = Gauss1D(mean, ratio), Gauss1D(0.0, 1.0)
+            if not collapsed_first:
+                a, b = b, a
+            tvs.append(analytic_tv_gauss1d(a, b))
+        assert all(abs(tv - 1.0) <= 1e-5 for tv in tvs)
+        assert tvs == sorted(tvs)
+
 
 class TestKL:
     def test_identical(self):

@@ -183,8 +183,8 @@ def concurrent_pdfs(model, x, workers):
 
 
 class TestThreadedPdf:
-    """Callers on threads get the serial bits: the exact sum keeps no shared
-    state, and the grid path's tap-spectra plan is published whole."""
+    """Callers on threads get the serial bits: neither the exact sum nor the
+    grid path keeps any shared state."""
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     @pytest.mark.parametrize("d, nodes", [(1, 4097), (2, 65)])
@@ -205,12 +205,12 @@ class TestThreadedPdf:
             assert np.array_equal(value, expected)
 
     def test_grid_path_at_two_bandwidths_interleaved(self):
-        # the tap-spectra plan is shared: threads that keep switching its key
-        # between two bandwidths must still each get the serial bytes
+        # threads that keep switching between two bandwidths, and so between
+        # two transform lengths, must each get the serial bytes
         target = Gauss1D(0, 1)
         x = grid_axes(target.support_hint, 4097)[0]
         models = [fit(target.sample(n, 20 + n), KernelSpec.gaussian()) for n in (1024, 2048)]
-        serial = [per_order_pdf(model, x).tobytes() for model in models]
+        serial = [kernels._grid_pdf(model, x).tobytes() for model in models]
         jobs = [k % 2 for k in range(48)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -254,6 +254,9 @@ class TestGridPdf:
     )
     @example(n=16384, h=2.0, nodes=8193, widths=1.01, centre=0.0, spread=0.01, far=0.0, seed=0)
     @example(n=5000, h=0.05, nodes=1024, widths=18.0, centre=3.0, spread=1.0, far=0.2, seed=1)
+    # transform lengths 24576 and 1152 above (factors of 3), 2048 and 5000 here
+    @example(n=3000, h=0.3, nodes=1024, widths=2.0, centre=-1.0, spread=0.2, far=0.1, seed=2)
+    @example(n=700, h=0.8, nodes=4097, widths=10.0, centre=5.0, spread=0.05, far=0.0, seed=3)
     def test_matches_exact_sum(self, n, h, nodes, widths, centre, spread, far, seed):
         rng = np.random.default_rng(seed)
         width = 16.0 * h * widths
@@ -329,8 +332,9 @@ class TestGridPdf:
 
 
 def per_order_pdf(model: KdeModel, x: np.ndarray) -> np.ndarray:
-    """``_grid_pdf`` with every kernel-tap spectrum transformed afresh, one
-    order at a time, as before the tap spectra were planned."""
+    """``_grid_pdf`` with each order's kernel taps He_m phi tabulated and
+    transformed by ``np.fft.rfft``, at the least power-of-two length: the
+    grid path before its tap spectra took their closed form."""
     q, lo, hi = x.size, float(x[0]), float(x[-1])
     h = model.bandwidth
     dx = (hi - lo) / (q - 1)
@@ -342,24 +346,32 @@ def per_order_pdf(model: KdeModel, x: np.ndarray) -> np.ndarray:
     node = node[near]
     offset = (pts[near] - (node * dx + lo)) / h
     bins = node.astype(np.intp) + reach
-    u = np.arange(-reach, reach + 1) * (dx / h)
-    phi = kernels._phi(u)
     size = 1 << (q + 2 * reach - 1).bit_length()
-    taps = np.zeros(size)
-    he_prev, he = np.zeros_like(u), np.ones_like(u)
     weight = np.ones_like(offset)
     total = 0.0
-    for m in range(order + 1):
-        if m:
-            he_prev, he = he, u * he - (m - 1) * he_prev
-        kernel = he * phi
-        taps[: reach + 1] = kernel[reach:]
-        taps[size - reach :] = kernel[:reach]
+    for m, taps in enumerate(explicit_taps(reach, dx / h, size, order)):
         coeffs = np.bincount(bins, weights=weight, minlength=q + 2 * reach)
         total = total + np.fft.rfft(coeffs, size) * np.fft.rfft(taps)
         weight = weight * offset / (m + 1)
     out = np.maximum(np.fft.irfft(total, size)[reach : reach + q], 0.0)
     out /= pts.shape[0] * h
+    return out
+
+
+def explicit_taps(reach: int, ratio: float, size: int, order: int) -> list:
+    """For m = 0 .. order, He_m(l ratio) phi(l ratio) for |l| <= reach, lag l
+    at index l mod ``size``, with He_m from its three-term recurrence."""
+    u = np.arange(-reach, reach + 1) * ratio
+    phi = kernels._phi(u)
+    out = []
+    he_prev, he = np.zeros_like(u), np.ones_like(u)
+    for m in range(order + 1):
+        if m:
+            he_prev, he = he, u * he - (m - 1) * he_prev
+        kernel, taps = he * phi, np.zeros(size)
+        taps[: reach + 1] = kernel[reach:]
+        taps[size - reach :] = kernel[:reach]
+        out.append(taps)
     return out
 
 
@@ -386,8 +398,18 @@ def plain_model_and_grid(n, h, nodes, lo, hi, seed):
     return model, np.linspace(lo, hi, nodes)
 
 
+def smooth_5(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 class TestGridPlan:
-    """The kernel-tap spectra kept across ``_grid_pdf`` calls change no bit."""
+    """What ``_grid_pdf`` plans for a call, its Taylor order, transform length
+    and tap spectra, it works out afresh from the bandwidth and the grid: no
+    call leaves state for the next, and the closed-form spectra keep the
+    values within the grid path's error bound of both oracles."""
 
     CASES = {
         "gauss1d_2048": lambda: gauss1d_model_and_grid(2048, 3),
@@ -397,40 +419,56 @@ class TestGridPlan:
     }
 
     @pytest.mark.parametrize("case", CASES, ids=list(CASES))
-    def test_cold_warm_and_switch_match_oracle(self, monkeypatch, case):
+    def test_cold_warm_and_switch_match_oracle(self, case):
         model, x = self.CASES[case]()
         other, _ = gauss1d_model_and_grid(1024, 4)  # another bandwidth and grid
-        expected = per_order_pdf(model, x).tobytes()
-        monkeypatch.setattr(kernels, "_plan", None)
-        assert kernels._grid_pdf(model, x).tobytes() == expected  # cold
-        key = kernels._plan[0]
-        assert kernels._grid_pdf(model, x).tobytes() == expected  # warm
+        first = kernels._grid_pdf(model, x)
+        bound = GRID_ERROR_UNITS * grid_error_unit(x, model.bandwidth)
+        assert np.abs(first - kernels._exact_pdf(model, x[:, None])).max() <= bound
+        assert np.abs(first - per_order_pdf(model, x)).max() <= bound
+        assert kernels._grid_pdf(model, x).tobytes() == first.tobytes()  # repeated
         for switch_x in (x, grid_axes(((-10.0, 10.0),), 2049)[0]):
             assert kernels._grid_pdf(other, switch_x) is not None
-            assert kernels._plan[0] != key
-            assert kernels._grid_pdf(model, x).tobytes() == expected  # after a switch
-            assert kernels._plan[0] == key
+            assert kernels._grid_pdf(model, x).tobytes() == first.tobytes()  # after a switch
 
     def test_fft_counts_cold_and_warm(self, monkeypatch):
         model, x = gauss1d_model_and_grid(2048, 3)
-        monkeypatch.setattr(kernels, "_plan", None)
         calls = count_ffts(monkeypatch)
-        kernels._grid_pdf(model, x)
-        assert len(kernels._plan[1]) == 7  # order M = 6
-        assert len(calls) == 15  # (M + 1) coefficient and tap transforms, one inverse
-        del calls[:]
-        kernels._grid_pdf(model, x)
-        assert calls == ["rfft"] * 7 + ["irfft"]
+        for _ in range(2):  # the first call at this bandwidth, then a repeat
+            kernels._grid_pdf(model, x)
+            assert calls == ["rfft"] * 7 + ["irfft"]  # M = 6: one per order's coefficients, one inverse
+            del calls[:]
 
-    def test_plan_is_read_only(self, monkeypatch):
+    @pytest.mark.parametrize("ratio", [0.28, 0.1, 0.0123, 0.001])
+    def test_closed_form_spectra_match_rfft_of_taps(self, ratio):
+        reach = math.ceil(16.0 / ratio)
+        size = kernels._fft_length(4097 + 2 * reach)
+        closed = list(kernels._tap_spectra(ratio, size, kernels._MAX_ORDER))
+        taps = explicit_taps(reach, ratio, size, kernels._MAX_ORDER)
+        assert len(closed) == len(taps) == kernels._MAX_ORDER + 1
+        for m, (spectrum, tap) in enumerate(zip(closed, taps)):
+            expected = np.fft.rfft(tap)
+            assert spectrum.shape == expected.shape
+            peak = np.abs(expected).max()
+            assert np.abs(spectrum - expected).max() <= 16 * np.finfo(float).eps * peak, m
+
+    def test_fft_length_is_least_5_smooth(self):
+        smooth = [n for n in range(1, 2**15 + 1) if smooth_5(n)]
+        k = 0
+        for n in range(1, 2**15 + 1):
+            while smooth[k] < n:
+                k += 1
+            assert kernels._fft_length(n) == smooth[k], n
+
+    def test_transform_length_on_quadrature_grid(self, monkeypatch):
         model, x = gauss1d_model_and_grid(2048, 3)
-        monkeypatch.setattr(kernels, "_plan", None)
+        sizes = []
+        real = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: sizes.append(n) or real(a, n))
         kernels._grid_pdf(model, x)
-        key, spectra = kernels._plan
-        assert key[2] == 8192 and [s.shape for s in spectra] == [(4097,)] * 7
-        for spectrum in spectra:
-            with pytest.raises(ValueError):
-                spectrum[0] = 0.0
+        reach = math.ceil(16.0 * model.bandwidth * 4096 / (x[-1] - x[0]))
+        assert sizes == [kernels._fft_length(4097 + 2 * reach)]
+        assert sizes[0] < 8192  # the least power of two that holds the lags
 
 
 class TestSampling:

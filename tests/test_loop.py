@@ -241,49 +241,29 @@ class TestGridBuiltOnce:
         assert grids == [(GAUSS.support_hint, 4096)]
 
 
-KDE_SIZES_CONFIG = Path(__file__).parent / "configs" / "kde_sizes.ini"
-
-
-def run_kde_sizes(out: Path) -> None:
-    run_scenario(parse_config(KDE_SIZES_CONFIG.read_text(), {"out_dir": str(out)}))
+KDE_RATE_SEEDS_CONFIG = Path(__file__).parent / "configs" / "kde_rate_seeds.ini"
 
 
 class TestGridPlan:
-    """The grid path's kernel-tap spectra, kept across calls, change no record."""
+    """The grid path keeps nothing from one call to the next, so a loop run
+    again in the same process gives the same records."""
 
-    def test_balanced_loop_run_twice_gives_equal_records(self, monkeypatch):
+    def test_balanced_loop_run_twice_gives_equal_records(self):
         cfg = kde_config(MEMO_SCHEDULES["balanced"], n=2048)
-        monkeypatch.setattr(kernels, "_plan", None)
-        first = run_loop(cfg, 0)  # cold at its first fit
-        second = run_loop(cfg, 0)  # warm from the first run's last fit
-        assert first.records == second.records
+        assert run_loop(cfg, 0).records == run_loop(cfg, 0).records
 
-    def test_sizes_config_misses_only_when_size_changes(self, monkeypatch, tmp_path):
+    def test_rate_seeds_config_covers_both_orders_and_seven_lengths(self, monkeypatch, tmp_path):
         # the CI runs the same file twice and compares the CSVs
-        misses = []
+        plans = []
         real_spectra = kernels._tap_spectra
         monkeypatch.setattr(
-            kernels, "_tap_spectra", lambda *a: misses.append(a[0]) or real_spectra(*a)
+            kernels, "_tap_spectra", lambda *a: plans.append(a) or real_spectra(*a)
         )
-        calls = count_kde_pdf(monkeypatch)
-        monkeypatch.setattr(kernels, "_plan", None)
-        run_kde_sizes(tmp_path / "planned")
-        assert [model.samples.n for model, _ in calls] == [1024, 1024, 2048, 2048, 1024, 1024]
-        assert len(misses) == 3 and misses[0] == misses[2] != misses[1]  # reach in nodes
-
-        real_pdf = kernels.kde_pdf
-
-        def cold(model, x):
-            kernels._plan = None  # the monkeypatch above restores it afterwards
-            return real_pdf(model, x)
-
-        monkeypatch.setattr(kernels, "kde_pdf", cold)
-        del misses[:]
-        run_kde_sizes(tmp_path / "cold")
-        assert len(misses) == 6
-        for name in ("results.csv", "bounds.csv"):
-            planned = (tmp_path / "planned" / name).read_bytes()
-            assert planned == (tmp_path / "cold" / name).read_bytes()
+        cfg = parse_config(KDE_RATE_SEEDS_CONFIG.read_text(), {"out_dir": str(tmp_path)})
+        run_scenario(cfg)
+        assert [order for _, _, order in plans] == [6] * 10 + [7] * 4
+        assert len({size for _, size, _ in plans}) == 7
+        assert len((tmp_path / "results.csv").read_text().splitlines()) == 1 + 14
 
 
 class TestSampleBudgets:
