@@ -218,25 +218,30 @@ class Gauss2D(TargetDensity):
 
 def _gauss_crossings(a: Gauss1D, b: Gauss1D) -> list[float]:
     """Points where pdf_a - pdf_b changes sign, in increasing order."""
-    s1, s2 = a.std, b.std
-    m1, m2 = a.mean, b.mean
-    if s1 == s2:
-        return [] if m1 == m2 else [(m1 + m2) / 2.0]
-    # (log pdf_a - log pdf_b) * s1 * s2 is quadratic in x. Scaled by s1 * s2,
-    # no coefficient holds (s1 * s2)^2, which underflows to 0 once the product
-    # of the stds is below about 1e-162; ca is formed from s1 - s2, and each
-    # root is taken in the form that avoids cancellation, so a crossing keeps
-    # full precision as s2/s1 -> 1
-    ca = 0.5 * (s1 - s2) * (s1 + s2) / (s1 * s2)
-    cb = m1 * (s2 / s1) - m2 * (s1 / s2)
-    cc = 0.5 * (m2**2 * (s1 / s2) - m1**2 * (s2 / s1)) + s1 * s2 * math.log(s2 / s1)
-    # cb² - 4·ca·cc as two terms that are both >= 0: formed directly, the two
-    # products cancel when one std is far below the other
-    disc = (m1 - m2) ** 2 + 2.0 * (s1 - s2) * (s1 + s2) * math.log(s1 / s2)
-    if disc <= 0:  # no crossing, or a touching point where the sign holds
-        return []
-    q = -0.5 * (cb + math.copysign(math.sqrt(disc), cb))
-    return sorted([q / ca, cc / q])
+    if a.std == b.std:
+        return [] if a.mean == b.mean else [(a.mean + b.mean) / 2.0]
+    narrow, wide = (a, b) if a.std < b.std else (b, a)
+    sn, sw = narrow.std, wide.std
+    # In units y = (x - m_n) / s_n of the narrower std, log pdf_n - log pdf_w
+    # is L - y^2 / 2 + (k y - d)^2 / 2 with k = s_n / s_w < 1, d = (m_w - m_n)
+    # / s_w and L = log(s_w / s_n) > 0, so its zeros solve
+    # ca y^2 + 2 k d y - (d^2 + 2 L) = 0 with ca = 1 - k^2. No coefficient
+    # holds s_w / s_n, which overflows once one std is below about 5.6e-309
+    # of the other, or a squared std, which underflows below about 1e-162.
+    # ca is formed from s_w - s_n, L as log1p((s_w - s_n) / s_n) (a difference
+    # of logs once that ratio overflows), and each root in the form that
+    # avoids cancellation, so a crossing keeps full precision as s_w / s_n -> 1
+    k = sn / sw
+    d = (wide.mean - narrow.mean) / sw
+    gap = (sw - sn) / sn
+    log_ratio = math.log1p(gap) if gap < math.inf else math.log(sw) - math.log(sn)
+    ca = (sw - sn) / sw * ((sw + sn) / sw)
+    # the quarter discriminant (k d)^2 + ca (d^2 + 2 L) = d^2 + 2 L ca is > 0,
+    # as two Gaussians of unequal std always cross twice; hypot and d (d / q)
+    # form it and the second root without squaring d
+    q = -(k * d + math.copysign(math.hypot(d, math.sqrt(2.0 * log_ratio * ca)), d))
+    roots = (q / ca, -(d * (d / q) + 2.0 * log_ratio / q))
+    return sorted(narrow.mean + sn * y for y in roots)
 
 
 def analytic_tv_gauss1d(a: Gauss1D, b: Gauss1D) -> float:

@@ -271,9 +271,14 @@ def _grid_pdf(model: KdeModel, x: np.ndarray) -> np.ndarray | None:
     up to ``_MAX_ORDER`` is enough, and the kernel reaches no further than
     the grid is wide (which keeps the transforms shorter than 6q).
 
-    The taps' spectra come in closed form (``_tap_spectra``), so a call runs
-    M + 2 real FFTs, one per order's coefficients and one inverse, each at
-    the least 5-smooth length that holds every lag without wrapping.
+    Only the window of nodes within the reach of a kept sample, from the
+    least kept node less the reach to the greatest plus the reach (clipped to
+    the grid), is computed; every other node is 0.0. The taps' spectra come
+    in closed form (``_tap_spectra``), so a call runs M + 2 real FFTs, one
+    per order's coefficients and one inverse, each at the least 5-smooth
+    length at which no lag between a kept sample and a window node wraps
+    onto a lag within the reach: never longer than q + 2 reach, and about
+    the samples' span plus 2 reach when the window is not clipped.
     """
     q = x.size
     if q < 2 or not x[0] < x[-1]:
@@ -291,20 +296,28 @@ def _grid_pdf(model: KdeModel, x: np.ndarray) -> np.ndarray | None:
     node = np.rint((pts - lo) / dx)
     near = (node >= -reach) & (node <= q - 1 + reach)
     node = node[near]
+    out = np.zeros(q)
+    if not node.size:  # no sample within the reach of any node
+        return out
     offset = (pts[near] - (node * dx + lo)) / h
-    bins = node.astype(np.intp) + reach
-    size = _fft_length(q + 2 * reach)  # a circular length >= q + 2 reach
+    first, last = int(node.min()), int(node.max())
+    # only nodes left .. right lie within the reach of a kept sample
+    left, right = max(first - reach, 0), min(last + reach, q - 1)
+    base = min(first, left)  # the node at circular index 0
+    bins = node.astype(np.intp) - base
+    # lags between a kept sample and a window node run from left - last to
+    # right - first, so at this length none wraps onto a lag within the reach
+    size = _fft_length(reach + 1 + max(right - first, last - left))
     weight = np.ones_like(offset)
     total = 0.0
     for m, spectrum in enumerate(_tap_spectra(dx / h, size, order)):
         if m:  # e^m / m!, updated in place: the same two roundings a step
             weight *= offset
             weight /= m
-        coeffs = np.bincount(bins, weights=weight, minlength=q + 2 * reach)
-        total = total + np.fft.rfft(coeffs, size) * spectrum
-    # node i sits at circular index i + reach; the rounding of the transforms
+        total = total + np.fft.rfft(np.bincount(bins, weights=weight), size) * spectrum
+    # node i sits at circular index i - base; the rounding of the transforms
     # can leave tail values a little below zero, where the exact sum is >= 0
-    out = np.maximum(np.fft.irfft(total, size)[reach : reach + q], 0.0)
+    out[left : right + 1] = np.maximum(np.fft.irfft(total, size)[left - base : right - base + 1], 0.0)
     out /= pts.shape[0] * h
     return out
 

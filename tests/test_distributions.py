@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.optimize import brentq
 
+from sclab import distributions
 from sclab.distributions import (
     Gauss1D,
     Gauss2D,
@@ -264,6 +265,28 @@ class TestAnalyticTV:
             if not collapsed_first:
                 a, b = b, a
             tvs.append(analytic_tv_gauss1d(a, b))
+        assert all(abs(tv - 1.0) <= 1e-5 for tv in tvs)
+        assert tvs == sorted(tvs)
+
+    @pytest.mark.parametrize("mean", [0.01, 0.3, 3.0])
+    @pytest.mark.parametrize("collapsed_first", [True, False], ids=["narrow_a", "narrow_b"])
+    def test_collapsed_past_std_ratio_overflow(self, mean, collapsed_first, monkeypatch):
+        # 1 / 1e-309 overflows to inf, so no crossing may be formed from the
+        # wider std over the narrower; the sum is read before the clamp to 1,
+        # since min(1.0, nan) returns 1.0
+        sums = []
+        monkeypatch.setattr(
+            distributions, "min", lambda one, tv: sums.append(tv) or min(one, tv), raising=False
+        )
+        tvs = []
+        for ratio in (1e-300, 1e-308, 1e-309, 1e-320, 5e-324):
+            a, b = Gauss1D(mean, ratio), Gauss1D(0.0, 1.0)
+            if not collapsed_first:
+                a, b = b, a
+            crossings = _gauss_crossings(a, b)
+            assert len(crossings) == 2 and all(map(math.isfinite, crossings))
+            tvs.append(analytic_tv_gauss1d(a, b))
+        assert len(sums) == 5 and all(map(math.isfinite, sums))
         assert all(abs(tv - 1.0) <= 1e-5 for tv in tvs)
         assert tvs == sorted(tvs)
 

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,6 +240,55 @@ def one_node_nudged(x: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
+class Window(NamedTuple):
+    """The nodes ``_grid_pdf`` computes and the length of its transforms."""
+
+    first: int  # the least and greatest node of a kept sample
+    last: int
+    left: int  # the window: every node outside left .. right is 0.0
+    right: int
+    reach: int
+    size: int
+
+
+def window_rule(model: KdeModel, x: np.ndarray) -> Window | None:
+    """The window and transform length of ``_grid_pdf(model, x)``, worked out
+    from the model's own samples; None when no sample is within the reach of
+    a node. The length is the least 5-smooth one at which no lag between a
+    kept sample and a window node wraps onto a lag within the reach."""
+    q = x.size
+    dx = (x[-1] - x[0]) / (q - 1)
+    reach = math.ceil(16.0 * model.bandwidth / dx)
+    node = np.rint((model.samples.points[:, 0] - x[0]) / dx)
+    node = node[(node >= -reach) & (node <= q - 1 + reach)]
+    if not node.size:
+        return None
+    first, last = int(node.min()), int(node.max())
+    left, right = max(first - reach, 0), min(last + reach, q - 1)
+    size = kernels._fft_length(reach + 1 + max(right - first, last - left))
+    return Window(first, last, left, right, reach, size)
+
+
+def grid_pdf_and_lengths(model: KdeModel, x: np.ndarray):
+    """``_grid_pdf(model, x)`` and the length of each inverse transform it ran."""
+    with mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as irfft:
+        got = kernels._grid_pdf(model, x)
+    return got, [call.args[1] for call in irfft.call_args_list]
+
+
+def check_window(model: KdeModel, x: np.ndarray, got: np.ndarray, lengths: list) -> Window | None:
+    """Assert that ``got`` is 0.0 outside the window and that the transforms
+    ran at the rule's length, never longer than the whole grid's q + 2 reach."""
+    rule = window_rule(model, x)
+    if rule is None:
+        assert not got.any() and not lengths
+        return None
+    assert not got[: rule.left].any() and not got[rule.right + 1 :].any()
+    assert lengths == [rule.size]
+    assert rule.last - rule.first + 1 <= rule.size <= kernels._fft_length(x.size + 2 * rule.reach)
+    return rule
+
+
 class TestGridPdf:
     """Taylor-expanded binning of a 1-d Gaussian estimate on a uniform grid."""
 
@@ -254,9 +305,13 @@ class TestGridPdf:
     )
     @example(n=16384, h=2.0, nodes=8193, widths=1.01, centre=0.0, spread=0.01, far=0.0, seed=0)
     @example(n=5000, h=0.05, nodes=1024, widths=18.0, centre=3.0, spread=1.0, far=0.2, seed=1)
-    # transform lengths 24576 and 1152 above (factors of 3), 2048 and 5000 here
+    # transform lengths 12800 and 1152 above, 1800 and 2187 (3^7) here
     @example(n=3000, h=0.3, nodes=1024, widths=2.0, centre=-1.0, spread=0.2, far=0.1, seed=2)
     @example(n=700, h=0.8, nodes=4097, widths=10.0, centre=5.0, spread=0.05, far=0.0, seed=3)
+    # every sample on one node, its window unclipped: length 2048 = 2 reach + 1 rounded up
+    @example(n=500, h=0.5, nodes=4097, widths=4.016, centre=0.0, spread=1e-12, far=0.0, seed=5)
+    # every sample past the reach: no transform, all zeros
+    @example(n=100, h=0.5, nodes=1025, widths=3.0, centre=2.0, spread=1.0, far=1.0, seed=7)
     def test_matches_exact_sum(self, n, h, nodes, widths, centre, spread, far, seed):
         rng = np.random.default_rng(seed)
         width = 16.0 * h * widths
@@ -267,12 +322,13 @@ class TestGridPdf:
         pts[beyond] = side[beyond] + np.sign(side[beyond] - centre) * rng.uniform(0, 10, beyond.sum())
         model = KdeModel(SampleSet(pts[:, None], 0), KernelSpec.gaussian(), bandwidth=h)
         x = np.linspace(lo, hi, nodes)
-        got = kernels._grid_pdf(model, x)
+        got, lengths = grid_pdf_and_lengths(model, x)
         assert got is not None  # rho = spacing / 2h <= 0.141: an order M <= 12 suffices
         assert np.array_equal(kde_pdf(model, x), got)
         exact = kernels._exact_pdf(model, x[:, None])
         assert (got >= 0).all()
         assert np.abs(got - exact).max() <= GRID_ERROR_UNITS * grid_error_unit(x, h)
+        check_window(model, x, got, lengths)
 
     def test_quadrature_grid_takes_grid_path(self):
         target = Gauss1D(0, 1)
@@ -329,6 +385,54 @@ class TestGridPdf:
     @pytest.mark.parametrize("rho, order", [(0.0, 0), (0.01, 6), (0.14, 12), (0.15, None)])
     def test_taylor_order(self, rho, order):
         assert kernels._taylor_order(rho) == order
+
+
+class TestGridWindow:
+    """The window of nodes within the reach of a kept sample, at its edge
+    cases, on 2049 nodes over [-4, 4] at h = 0.1 (a reach of 410 nodes); a
+    window with no kept sample is an example of ``test_matches_exact_sum``."""
+
+    H, Q, LO, HI = 0.1, 2049, -4.0, 4.0
+    DX = (HI - LO) / (Q - 1)
+    REACH = 410
+
+    def checked(self, pts):
+        """The grid values and the window rule, after checking both against
+        the exact sum and the rule."""
+        model = KdeModel(SampleSet(np.asarray(pts)[:, None], 0), KernelSpec.gaussian(), bandwidth=self.H)
+        x = np.linspace(self.LO, self.HI, self.Q)
+        got, lengths = grid_pdf_and_lengths(model, x)
+        exact = kernels._exact_pdf(model, x[:, None])
+        assert np.abs(got - exact).max() <= GRID_ERROR_UNITS * grid_error_unit(x, self.H)
+        return got, check_window(model, x, got, lengths)
+
+    def test_one_node(self):
+        # a span of 1, unclipped: the length holds 2 reach + 1
+        rng = np.random.default_rng(8)
+        got, rule = self.checked(self.LO + (700 + rng.uniform(-0.25, 0.25, 300)) * self.DX)
+        assert rule.first == rule.last == 700 and rule.reach == self.REACH
+        assert (rule.left, rule.right) == (700 - self.REACH, 700 + self.REACH)
+        assert rule.size == kernels._fft_length(2 * self.REACH + 1)
+
+    def test_past_both_ends(self):
+        # samples only in the extensions past both ends, two of them on the
+        # outermost extended nodes: clipped on both sides, the whole grid's length
+        rng = np.random.default_rng(9)
+        reach = self.REACH * self.DX
+        pts = np.concatenate([
+            rng.uniform(self.LO - reach, self.LO, 200), rng.uniform(self.HI, self.HI + reach, 200),
+            [self.LO - reach, self.HI + reach],
+        ])
+        got, rule = self.checked(pts)
+        assert (rule.first, rule.last) == (-self.REACH, self.Q - 1 + self.REACH)
+        assert (rule.left, rule.right) == (0, self.Q - 1)
+        assert rule.size == kernels._fft_length(self.Q + 2 * self.REACH)
+
+    def test_past_one_end(self):
+        # samples only past the upper end: clipped there alone
+        got, rule = self.checked(np.random.default_rng(10).uniform(4.1, 5.6, 500))
+        assert self.Q - 1 < rule.first and 0 < rule.left and rule.right == self.Q - 1
+        assert got[-1] > 0
 
 
 def per_order_pdf(model: KdeModel, x: np.ndarray) -> np.ndarray:
@@ -460,15 +564,16 @@ class TestGridPlan:
                 k += 1
             assert kernels._fft_length(n) == smooth[k], n
 
-    def test_transform_length_on_quadrature_grid(self, monkeypatch):
+    def test_transform_length_on_quadrature_grid(self):
         model, x = gauss1d_model_and_grid(2048, 3)
-        sizes = []
-        real = np.fft.irfft
-        monkeypatch.setattr(np.fft, "irfft", lambda a, n: sizes.append(n) or real(a, n))
-        kernels._grid_pdf(model, x)
-        reach = math.ceil(16.0 * model.bandwidth * 4096 / (x[-1] - x[0]))
-        assert sizes == [kernels._fft_length(4097 + 2 * reach)]
-        assert sizes[0] < 8192  # the least power of two that holds the lags
+        got, sizes = grid_pdf_and_lengths(model, x)
+        rule = check_window(model, x, got, sizes)
+        # N(0, 1) draws leave the window unclipped in the box [-10, 10], so
+        # the length holds the samples' span plus the reach on each side
+        assert 0 < rule.left and rule.right < 4096
+        assert sizes == [kernels._fft_length(rule.last - rule.first + 1 + 2 * rule.reach)]
+        assert sizes == [3375]
+        assert sizes[0] < kernels._fft_length(4097 + 2 * rule.reach) == 6000  # the whole grid's
 
 
 class TestSampling:

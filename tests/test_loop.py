@@ -24,6 +24,7 @@ from sclab.loop import (
     trace_rows,
 )
 from sclab.mixing import MixtureSchedule
+from test_kernels import window_rule
 
 GAUSS = Gauss1D(0, 1)
 KDE = KdeGenerator(kernel=KernelSpec.gaussian())
@@ -252,17 +253,23 @@ class TestGridPlan:
         cfg = kde_config(MEMO_SCHEDULES["balanced"], n=2048)
         assert run_loop(cfg, 0).records == run_loop(cfg, 0).records
 
-    def test_rate_seeds_config_covers_both_orders_and_seven_lengths(self, monkeypatch, tmp_path):
+    def test_rate_seeds_config_covers_both_orders_and_window_lengths(self, monkeypatch, tmp_path):
         # the CI runs the same file twice and compares the CSVs
-        plans = []
-        real_spectra = kernels._tap_spectra
+        calls = []  # [model, grid, (ratio, size, order)] per grid pdf
+        real_grid_pdf, real_spectra = kernels._grid_pdf, kernels._tap_spectra
         monkeypatch.setattr(
-            kernels, "_tap_spectra", lambda *a: plans.append(a) or real_spectra(*a)
+            kernels, "_grid_pdf", lambda model, x: calls.append([model, x]) or real_grid_pdf(model, x)
+        )
+        monkeypatch.setattr(
+            kernels, "_tap_spectra", lambda *a: calls[-1].append(a) or real_spectra(*a)
         )
         cfg = parse_config(KDE_RATE_SEEDS_CONFIG.read_text(), {"out_dir": str(tmp_path)})
         run_scenario(cfg)
-        assert [order for _, _, order in plans] == [6] * 10 + [7] * 4
-        assert len({size for _, size, _ in plans}) == 7
+        assert [order for _, _, (_, _, order) in calls] == [6] * 10 + [7] * 4
+        sizes = [size for _, _, (_, size, _) in calls]
+        # each length follows the samples' span, so the run gives many
+        assert sizes == [window_rule(model, x).size for model, x, _ in calls]
+        assert len(set(sizes)) == 11
         assert len((tmp_path / "results.csv").read_text().splitlines()) == 1 + 14
 
 
