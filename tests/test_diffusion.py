@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -473,6 +474,29 @@ class TestReverseSample:
             want = (table[0, r, idx] * x + table[1, r, idx]) / net.width
             assert net.lookup_1d(tables, r, x).tobytes() == want.tobytes()
 
+    def test_lookup_on_tied_kinks_and_non_finite_points(self):
+        # units 1 and 2 scale unit 0's weights by 2 and -1, so the three share
+        # one kink bit for bit; unit 3 has no bias, so its kink is a zero
+        net = init_scorenet(12, 1, 8, 9)
+        for j, c in [(1, 2.0), (2, -1.0)]:
+            net.in_weights[j], net.time_weights[j] = c * net.in_weights[0], c * net.time_weights[0]
+        net.time_weights[3] = 0.0
+        net.out_weights[0] = np.random.default_rng(3).standard_normal(12)
+        ts = np.linspace(CFG.horizon, CFG.t_min, 5)
+        tables = net.tables_1d(ts, CFG.horizon)
+        kinks, table = tables
+        rng = np.random.default_rng(4)
+        for r in range(ts.size):
+            assert (np.diff(kinks[r]) == 0.0).sum() == 2 and 0.0 in kinks[r]
+            special = [0.0, -0.0, np.inf, -np.inf, np.nan] * 3
+            x = np.concatenate([kinks[r], kinks[r], special, rng.standard_normal(100)])
+            rng.shuffle(x)
+            with np.errstate(invalid="ignore"):  # a zero slope times an infinity
+                idx = np.searchsorted(kinks[r], x)
+                want = (table[0, r, idx] * x + table[1, r, idx]) / net.width
+                got = net.lookup_1d(tables, r, x)
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("scale", [1e6, 1e20])
     def test_tabled_blow_up_names_oracle_step(self, monkeypatch, scale):
         net = init_scorenet(40, 1, 8, 4)
@@ -484,6 +508,44 @@ class TestReverseSample:
             assert isinstance(step, int)
             with pytest.raises(RuntimeError, match=rf"non-finite state at reverse step {step} "):
                 reverse_sample(net, cfg, 7, 3)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e20])
+    @pytest.mark.parametrize("noise_cells", [None, 4 * 7, 5], ids=["default", "rows4", "below_n"])
+    def test_blow_up_inside_default_block_names_oracle_step(self, monkeypatch, scale, noise_cells):
+        # at m = 256 the tables come in the default 63-step blocks; a noise
+        # cap of 28 cells checks 7 chains every 4 steps, one below 7 every step
+        net = init_scorenet(256, 1, 8, 4)
+        net.out_weights[...] = scale
+        if noise_cells is not None:
+            monkeypatch.setattr(diffusion, "_NOISE_CELLS", noise_cells)
+        block = diffusion._TABLE_CELLS // (net.width + 1)
+        rows = max(1, min(block, diffusion._NOISE_CELLS // 7))
+        assert block == 63 and rows == {None: 63, 28: 4, 5: 1}[noise_cells]
+        cfg = DiffusionConfig(reverse_steps=100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = per_step_oracle(net, cfg, 7, 3)
+            assert isinstance(step, int)
+            with pytest.raises(RuntimeError, match=rf"non-finite state at reverse step {step} "):
+                reverse_sample(net, cfg, 7, 3)
+        assert rows == 1 or inside_a_block(step, rows, block, cfg.reverse_steps)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e20])
+    def test_blow_up_warns_as_per_step_form(self, scale):
+        # huge finite states overflow the score before the state overflows; a
+        # block whose arithmetic raises under errstate(all="raise") is replayed
+        # under the caller's error settings, so the same warnings come out,
+        # and none from scoring non-finite states
+        net = init_scorenet(256, 1, 8, 4)
+        net.out_weights[...] = scale
+        cfg = DiffusionConfig(reverse_steps=100)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            step = per_step_oracle(net, cfg, 7, 3)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match=rf"non-finite state at reverse step {step} "):
+                reverse_sample(net, cfg, 7, 3)
+        assert want and [str(w.message) for w in got] == [str(w.message) for w in want]
 
     def test_moments_with_analytic_score(self):
         s = reverse_sample(gauss_score_model(0, 1), CFG, 10**4, 3)
@@ -522,6 +584,16 @@ class TestReverseSample:
 
         with pytest.raises(RuntimeError, match="reverse step 1"):
             reverse_sample(ExplodingScore(), CFG, 10, 0)
+
+
+def inside_a_block(step: int, rows: int, block: int, steps: int) -> bool:
+    """Whether 1-based ``step`` is neither the first nor the last step of its
+    noise block, when ``steps`` steps run in table blocks of ``block`` steps
+    cut into noise blocks of ``rows``."""
+    k = step - 1
+    k0 = k - k % block
+    j0 = k0 + (k - k0) // rows * rows
+    return j0 < k < min(j0 + rows, k0 + block, steps) - 1
 
 
 MANY = [(0, 5), (1, 11), (7, 12), (300, 13), (7, 12), (1, 14)]
@@ -596,6 +668,30 @@ class TestReverseSampleMany:
         assert len(errors) >= 2  # lone requests blow up at different steps
         assert survivors >= 3  # and some not at all
         assert str(info.value) == errors[min(errors)]
+
+    @pytest.mark.parametrize("scale", [1e6, 1e20])
+    @pytest.mark.parametrize("noise_cells", [None, 7 * 30, 1], ids=["default", "rows7", "below_n"])
+    def test_blow_up_inside_a_63_step_block(self, monkeypatch, scale, noise_cells):
+        # the one-unit net's tables in 63-step blocks, as at m = 256; the 30
+        # chains are checked every 63, every 7 or (a cap below a request's 2
+        # chains) every step
+        net = one_unit_net(scale)
+        monkeypatch.setattr(diffusion, "_TABLE_CELLS", 63 * (net.width + 1))
+        if noise_cells is not None:
+            monkeypatch.setattr(diffusion, "_NOISE_CELLS", noise_cells)
+        cfg = DiffusionConfig(reverse_steps=100)
+        requests = [(n, seed) for seed in range(10) for n in (1, 2)] + [(0, 3)]
+        rows = max(1, min(63, diffusion._NOISE_CELLS // 30))
+        assert rows == {None: 63, 210: 7, 1: 1}[noise_cells]
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = [per_step_oracle(net, cfg, n, seed) for n, seed in requests]
+            errors, survivors = lone_blow_ups(net, cfg, requests)
+            with pytest.raises(RuntimeError) as info:
+                reverse_sample_many(net, cfg, requests)
+        steps = {want for want in oracle if isinstance(want, int)}
+        assert set(errors) == steps and len(steps) >= 2 and survivors >= 3
+        assert str(info.value) == errors[min(steps)]
+        assert rows == 1 or inside_a_block(min(steps), rows, 63, cfg.reverse_steps)
 
     @pytest.mark.parametrize("scale", [1e6, 1e20])
     def test_serve_raises_and_pools_nothing(self, scale):
@@ -673,6 +769,27 @@ class TestEvaluatedPass:
         assert survivors >= 3
         assert str(info.value).startswith(f"non-finite state at reverse step {min(steps)} ")
         assert str(info.value) == errors[min(steps)]
+
+    def test_score_refusing_non_finite_points_gets_the_step_error(self):
+        # a score that refuses non-finite points fails the block's unchecked
+        # run; the replay, checked after every step, names the blow-up before
+        # the score is asked about a non-finite point, as the per-step form did
+        net = one_unit_net_2d(1e20)
+
+        class Guarded:
+            dim = 2
+
+            def evaluate(self, x, t, horizon):
+                if not np.isfinite(x).all():
+                    raise ValueError("non-finite point scored")
+                return net.evaluate(x, t, horizon)
+
+        cfg = DiffusionConfig(reverse_steps=100)
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = [evaluate_step_oracle(net, cfg, 2, seed) for seed in range(10)]
+            step = min(s for s in steps if isinstance(s, int))
+            with pytest.raises(RuntimeError, match=rf"non-finite state at reverse step {step} "):
+                reverse_sample_many(Guarded(), cfg, [(2, seed) for seed in range(10)])
 
     def test_exploding_score_error_matches_lone_call(self):
         class ExplodingScore:

@@ -58,14 +58,20 @@ def _oracle_pairs():
 def _log_ratio_terms(a, b, x):
     """log pdf_a(x) - log pdf_b(x), written as ca*x^2 + cb*x + cc + log(s_b/s_a),
     and the sum of its terms' sizes: the quadratic terms exact in rationals,
-    the log term in floats."""
+    the log term in floats. For std ratios in [1/2, 2] the log term is
+    log1p((s_b - s_a)/s_a), whose difference is exact there, so its relative
+    error stays a few ulps as the ratio nears 1, where log(s_b/s_a) loses
+    about eps/(ratio - 1)."""
     s1, s2, m1, m2, x = map(Fraction, (a.std, b.std, a.mean, b.mean, x))
     terms = [
         (s1**2 - s2**2) / (2 * s1**2 * s2**2) * x * x,
         (m1 / s1**2 - m2 / s2**2) * x,
         m2**2 / (2 * s2**2) - m1**2 / (2 * s1**2),
     ]
-    log_term = math.log(b.std / a.std)
+    if 0.5 <= b.std / a.std <= 2.0:
+        log_term = math.log1p((b.std - a.std) / a.std)
+    else:
+        log_term = math.log(b.std / a.std)
     return float(sum(terms)) + log_term, float(sum(abs(t) for t in terms)) + abs(log_term)
 
 
@@ -253,6 +259,24 @@ class TestAnalyticTV:
             tvs.append(analytic_tv_gauss1d(a, b))
         assert all(abs(tv - 1.0) <= 1e-5 for tv in tvs)
         assert tvs == sorted(tvs)  # does not decrease as the ratio falls
+
+    @pytest.mark.parametrize("mean", [0.0, 0.3, 3.0])
+    def test_crossings_near_equal_stds(self, mean):
+        # at equal means the quadratic terms are as small as the log term, so
+        # the oracle's log term must be accurate for ratios near 1 (as a
+        # plain log(s_b/s_a) it scored these crossings at up to 2.5e8 eps)
+        for ratio in (1 + 6e-11, 1 + 1e-8, 1 + 1e-4, 1.25, 0.75, 1 - 1e-9):
+            pairs = [
+                (Gauss1D(mean, 1.0), Gauss1D(0.0, ratio)),
+                (Gauss1D(0.0, ratio), Gauss1D(mean, 1.0)),
+                (Gauss1D(mean, 1.0), Gauss1D(mean + 1e-9, ratio)),
+            ]
+            for a, b in pairs:
+                crossings = _gauss_crossings(a, b)
+                assert len(crossings) == 2
+                for x in crossings:
+                    residual, size = _log_ratio_terms(a, b, x)
+                    assert abs(residual) <= 4 * sys.float_info.epsilon * size
 
     @pytest.mark.parametrize("mean", [0.01, 0.3, 3.0])
     @pytest.mark.parametrize("collapsed_first", [True, False], ids=["narrow_a", "narrow_b"])

@@ -541,6 +541,27 @@ class TestDiffusionLoop2d:
             assert pooled_csv == (tmp_path / "unpooled" / name).read_bytes()
 
 
+CONFIG_1D = Path(__file__).parent / "configs" / "diffusion_1d.ini"
+
+
+class TestDiffusionLoop1d:
+    def test_tabled_runs_repeat_bytes(self, monkeypatch, tmp_path):
+        # every draw takes the 1-d tabled path, over a 127-step and a 23-step
+        # table block at m = 128; the CI runs the same file twice and compares
+        rows = []
+        tables_1d = ScoreNet.tables_1d
+        monkeypatch.setattr(
+            ScoreNet,
+            "tables_1d",
+            lambda net, ts, horizon: rows.append(len(ts)) or tables_1d(net, ts, horizon),
+        )
+        for out in ("a", "b"):
+            run_scenario(parse_config(CONFIG_1D.read_text(), {"out_dir": str(tmp_path / out)}))
+        assert rows and rows == [127, 23] * (len(rows) // 2)
+        for name in ("results.csv", "bounds.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 class TestSummariesAndRows:
     def test_single_replicate_summary_equals_trace(self):
         cfg = kde_config(MixtureSchedule.full_synthetic(3), n=128)
