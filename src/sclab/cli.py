@@ -15,7 +15,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bounds, kernels, loop, mixing
-from .distributions import Gauss1D, Gauss2D, GaussMixture1D, TargetDensity
+from .distributions import Gauss1D, Gauss2D, GaussMixture1D
 from .kernels import KernelSpec
 from .loop import (
     BalancedSizes,
@@ -50,7 +49,6 @@ RESULT_COLUMNS = (
     "bound_value",
     "kl_prior",
     "seed",
-    "runtime_ms",
 )
 
 BOUND_COLUMNS = ("schedule", "i", "k", "A_k", "bound_term", "total_bound")
@@ -58,8 +56,6 @@ BOUND_COLUMNS = ("schedule", "i", "k", "A_k", "bound_term", "total_bound")
 PHASE_COLUMNS = ("i", "lam", "f_value", "lambda_star")
 
 SEED_ENV_VAR = "SCLAB_SEED"
-
-_ROW_KEY = re.compile(r"row[0-9]+")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,6 +157,30 @@ def _p_size_rule(text):
 # ----------------------------------------------------------------------------
 # schema: section -> key -> (required, parser, default-as-string)
 
+# [target] kind -> (class, its keys); the class takes the keys as keywords
+_TARGETS = {
+    "gauss1d": (Gauss1D, {"mean": (False, _p_float, None), "std": (False, _p_pos_float, None)}),
+    "gauss_mixture1d": (GaussMixture1D, {"components": (True, _p_components, None)}),
+    "gauss2d": (
+        Gauss2D, {"mean": (False, _p_float_list, None), "var": (False, _p_float_list, None)}
+    ),
+}
+
+# [schedule] kind -> its MixtureSchedule fields; general reads row1..row<max_generation>
+_SCHEDULES = {
+    "general": {},
+    "full_synthetic": {},
+    "balanced": {},
+    "fixed_ratio": {"n_real": (True, _p_pos_int, None), "m_synth": (True, _p_int, None)},
+    "real_each_gen": {"alpha": (True, _p_pos_float, None)},
+}
+
+# [loop] generator -> its [loop] key; a loop also reads the section named after its generator
+_GENERATORS = {
+    "kde": {"eval_nodes": (False, _p_pos_int, "4096")},
+    "diffusion": {"eval_samples": (False, _p_pos_int, "100000")},
+}
+
 _SCHEMA = {
     "run": {
         "scenario": (True, str, None),  # parse_config has already refused unknown names
@@ -168,26 +188,15 @@ _SCHEMA = {
         "base_seed": (True, _p_seed, None),
         "replicates": (False, _p_pos_int, "1"),
     },
-    "target": {
-        "kind": (True, _p_enum("gauss1d", "gauss_mixture1d", "gauss2d"), None),
-        "mean": (False, _p_float_list, None),
-        "std": (False, _p_pos_float, None),
-        "components": (False, _p_components, None),
-        "var": (False, _p_float_list, None),
-    },
+    "target": {"kind": (True, _p_enum(*_TARGETS), None)},
     "schedule": {
-        "kind": (True, _p_enum(*mixing._KINDS), None),
+        "kind": (True, _p_enum(*_SCHEDULES), None),
         "max_generation": (True, _p_pos_int, None),
-        "n_real": (False, _p_pos_int, None),
-        "m_synth": (False, _p_int, None),
-        "alpha": (False, _p_pos_float, None),
     },
     "loop": {
-        "generator": (True, _p_enum("kde", "diffusion"), None),
+        "generator": (True, _p_enum(*_GENERATORS), None),
         "sample_sizes": (True, _p_size_rule, None),
         "delta": (False, _p_pos_float, "0.1"),
-        "eval_nodes": (False, _p_pos_int, "4096"),
-        "eval_samples": (False, _p_pos_int, "100000"),
     },
     "kde": {
         "kernel": (False, _p_enum(*kernels._PROFILES), "gaussian"),
@@ -225,6 +234,13 @@ _SCHEMA = {
         "r_cap": (False, _p_pos_float, None),
         "i": (False, _p_pos_int, None),
     },
+}
+
+# section -> (the key that picks a variant, variant -> the keys it adds)
+_VARIANTS = {
+    "target": ("kind", {kind: keys for kind, (_, keys) in _TARGETS.items()}),
+    "schedule": ("kind", _SCHEDULES),
+    "loop": ("generator", _GENERATORS),
 }
 
 
@@ -288,12 +304,16 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(errors)
 
     sections_read, _ = SCENARIOS[scenario]
-    schema = {section: _SCHEMA[section] for section in ("run", *sections_read)}
+    if "loop" in sections_read:
+        # a loop reads the section of its generator; both when that is invalid
+        generator = sections.get("loop", {}).get("generator")
+        sections_read += (generator,) if generator in _GENERATORS else tuple(_GENERATORS)
     values: dict[str, dict] = {}
     echo: dict[str, dict[str, str]] = {}
 
-    for section, keys in schema.items():
+    for section in ("run", *sections_read):
         present = sections.get(section, {})
+        keys, complete = _section_keys(scenario, section, present)
         values[section] = {}
         echo[section] = {}
         for key, (required, parse, default) in keys.items():
@@ -307,17 +327,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
                 echo[section][key] = raw
             except (ValueError, TypeError) as exc:
                 errors.append(f"{section}.{key}: {exc}")
-        for key in present:
-            if key in keys:
-                continue
-            # general schedules carry one explicit weight row per generation
-            if section == "schedule" and _ROW_KEY.fullmatch(key):
-                values[section].setdefault("_rows", {})[int(key[3:])] = present[key]
-                echo[section][key] = present[key]
-                continue
-            errors.append(f"{section}.{key}: unknown key")
+        if complete:
+            errors.extend(f"{section}.{key}: unknown key" for key in present if key not in keys)
     for section in sections:
-        if section not in schema:
+        if section not in values:
             errors.append(f"[{section}]: unknown section for scenario {scenario}")
 
     if not errors:
@@ -335,124 +348,82 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     )
 
 
-def _build_target(v: dict, errors: list[str]) -> TargetDensity | None:
-    kind = v.get("kind")
+def _section_keys(scenario: str, section: str, present: dict) -> tuple[dict, bool]:
+    """The keys ``section`` reads, its own plus those of the variant its
+    selector key names, and whether that is all of them. It is not when the
+    selector (or a general schedule's max_generation) is invalid, an error
+    reported under that key; the section's other keys then go unchecked."""
+    keys = dict(_SCHEMA[section])
+    if section == "loop" and scenario == "fixed_ratio_sweep":
+        del keys["sample_sizes"]  # each lambda's loop draws n_real + m points a generation
+    if section not in _VARIANTS:
+        return keys, True
+    selector, variants = _VARIANTS[section]
+    if present.get(selector) not in variants:
+        return keys, False
+    keys.update(variants[present[selector]])
+    if present[selector] == "general":  # row<i> = alpha, beta_1, ..., beta_i
+        try:
+            gens = _p_pos_int(present.get("max_generation", ""))
+        except ValueError:
+            return keys, False
+        keys.update({f"row{i}": (True, _p_float_list, None) for i in range(1, gens + 1)})
+    return keys, True
+
+
+def _build(label: str, make, errors: list[str]):
+    """``make()``, or None with its ValueError added to ``errors`` under ``label``."""
     try:
-        if kind == "gauss1d":
-            mean = v.get("mean", (0.0,))
-            if len(mean) != 1:
-                raise ValueError("gauss1d mean must be one number")
-            return Gauss1D(mean=mean[0], std=v.get("std", 1.0))
-        if kind == "gauss_mixture1d":
-            if "components" not in v:
-                errors.append("target.components: missing required key for mixtures")
-                return None
-            return GaussMixture1D(components=v["components"])
-        if kind == "gauss2d":
-            return Gauss2D(mean=v.get("mean", (0.0, 0.0)), var=v.get("var", (1.0, 1.0)))
+        return make()
     except ValueError as exc:
-        errors.append(f"target: {exc}")
-    return None
-
-
-def _build_schedule(kind, gens, n_real=None, m_synth=None, alpha=None, rows=None):
-    """The one schedule builder, for [schedule] sections and ``sclab bounds``.
-
-    Raises ValueError when the kind's parameters are missing or invalid.
-    """
-    if kind == "full_synthetic":
-        return MixtureSchedule.full_synthetic(gens)
-    if kind == "balanced":
-        return MixtureSchedule.balanced(gens)
-    if kind == "fixed_ratio":
-        return MixtureSchedule.fixed_ratio(n_real, m_synth, gens)
-    if kind == "real_each_gen":
-        return MixtureSchedule.real_each_gen(alpha, gens)
-    return MixtureSchedule.general(rows)
-
-
-def _schedule_section(v: dict, errors: list[str]) -> MixtureSchedule | None:
-    kind, gens = v["kind"], v["max_generation"]
-    rows_raw = v.get("_rows", {})
-    if kind != "general" and rows_raw:
-        errors.append("schedule: explicit rows are only valid for kind general")
+        errors.append(f"{label}: {exc}")
         return None
-    rows = None
-    if kind == "general":
-        # row<i> = alpha, beta_1, ..., beta_i for every generation
-        rows = []
-        ok = True
-        for i in range(1, gens + 1):
-            if i not in rows_raw:
-                errors.append(f"schedule.row{i}: missing required key")
-                ok = False
-                continue
-            try:
-                weights = _p_float_list(rows_raw[i])
-            except ValueError as exc:
-                errors.append(f"schedule.row{i}: {exc}")
-                ok = False
-                continue
-            rows.append((weights[0], tuple(weights[1:])))
-        for i in rows_raw:
-            if i > gens:
-                errors.append(f"schedule.row{i}: beyond max_generation {gens}")
-                ok = False
-        if not ok:
-            return None
-    try:
-        return _build_schedule(
-            kind, gens, v.get("n_real"), v.get("m_synth"), v.get("alpha"), rows
-        )
-    except ValueError as exc:
-        errors.append(f"schedule: {exc}")
-    return None
 
 
 def _validate_semantics(scenario: str, values: dict, errors: list[str]) -> None:
     """Build every object the scenario runs, adding each constructor's
     ValueError to ``errors``; a step runs only when its inputs were built."""
     if "target" in values:
-        target = _build_target(values["target"], errors)
-        values["target_obj"] = target
+        cls, _ = _TARGETS[values["target"]["kind"]]
+        params = {k: v for k, v in values["target"].items() if k != "kind"}
+        target = values["target_obj"] = _build("target", lambda: cls(**params), errors)
         if scenario == "diffusion_1d" and target is not None and target.dim != 1:
             errors.append("target: diffusion_1d needs a one-dimensional target")
     if "schedule" in values:
-        schedule = _schedule_section(values["schedule"], errors)
-        values["schedule_obj"] = schedule
+        sv = values["schedule"]
+        rows = tuple((w[0], w[1:]) for key, w in sv.items() if key.startswith("row"))
+        fields = {k: v for k, v in sv.items() if not k.startswith("row")}
+        schedule = values["schedule_obj"] = _build(
+            "schedule", lambda: MixtureSchedule(**fields, rows=rows or None), errors
+        )
         # the loop scenarios named after a schedule kind run only that kind
         if schedule is not None and scenario in mixing._KINDS and schedule.kind != scenario:
             errors.append(f"schedule.kind: scenario {scenario} requires kind {scenario}")
     if "kde" in values:
         kv = values["kde"]
-        default_order = 4 if kv["kernel"] == "higher_order_gaussian" else 2
-        try:
-            values["kernel_obj"] = KernelSpec(kv["kernel"], kv.get("order", default_order))
-        except ValueError as exc:
-            errors.append(f"kde: {exc}")
+        order = kv.get("order", 4 if kv["kernel"] == "higher_order_gaussian" else 2)
+        values["kernel_obj"] = _build("kde", lambda: KernelSpec(kv["kernel"], order), errors)
     if "loop" in values:
-        gen_kind = values["loop"]["generator"]
-        if scenario == "diffusion_1d" and gen_kind != "diffusion":
+        name = values["loop"]["generator"]
+        if scenario == "diffusion_1d" and name != "diffusion":
             errors.append("loop.generator: diffusion_1d requires the diffusion generator")
-        try:
-            if gen_kind == "kde" and "kernel_obj" in values:
-                values["generator_obj"] = KdeGenerator(kernel=values["kernel_obj"])
-            elif gen_kind == "diffusion":
-                dv = values["diffusion"]
-                values["generator_obj"] = DiffusionGenerator(
-                    cfg=diffusion_mod.DiffusionConfig(
-                        horizon=dv["horizon"],
-                        reverse_steps=dv["reverse_steps"],
-                        embed_dim=dv["embed_dim"],
-                    ),
-                    width_factor=dv["width_factor"],
-                    tau_factor=dv["tau_factor"],
-                    lr=dv.get("lr"),
-                )
-        except ValueError as exc:
-            errors.append(f"{gen_kind}: {exc}")
-        if values["target_obj"] is not None and "generator_obj" in values:
-            values["loops"] = _loop_plan(scenario, values, errors)
+        generator = None
+        if name == "kde" and values["kernel_obj"] is not None:
+            generator = _build("kde", lambda: KdeGenerator(kernel=values["kernel_obj"]), errors)
+        elif name == "diffusion":
+            dv = values["diffusion"]
+            generator = _build("diffusion", lambda: DiffusionGenerator(
+                cfg=diffusion_mod.DiffusionConfig(
+                    horizon=dv["horizon"],
+                    reverse_steps=dv["reverse_steps"],
+                    embed_dim=dv["embed_dim"],
+                ),
+                width_factor=dv["width_factor"],
+                tau_factor=dv["tau_factor"],
+                lr=dv.get("lr"),
+            ), errors)
+        if values["target_obj"] is not None and generator is not None:
+            values["loops"] = _loop_plan(scenario, values, generator, errors)
     if scenario == "bounds_report":
         bv, schedule = values["bounds"], values["schedule_obj"]
         if bv["family"] == "kde" and bv.get("s") is None:
@@ -464,15 +435,12 @@ def _validate_semantics(scenario: str, values: dict, errors: list[str]) -> None:
             if i > schedule.max_generation:
                 errors.append(f"bounds.i: {i} exceeds schedule.max_generation")
             else:
-                try:
-                    values["bound_inputs"] = _bound_inputs(
-                        bv["n"], i, bv["d"], bv["delta"], bv["kl"], bv.get("s"), bv.get("r_cap")
-                    )
-                except ValueError as exc:
-                    errors.append(f"bounds: {exc}")
+                values["bound_inputs"] = _build("bounds", lambda: _bound_inputs(
+                    bv["n"], i, bv["d"], bv["delta"], bv["kl"], bv.get("s"), bv.get("r_cap")
+                ), errors)
 
 
-def _loop_plan(scenario: str, values: dict, errors: list[str]) -> list:
+def _loop_plan(scenario: str, values: dict, generator, errors: list[str]) -> list:
     """(label, LoopConfig) pairs to run. A sweep labels each lambda's rows in
     both CSVs; a single loop's label is None, which keeps the scenario in
     results.csv and the schedule kind in bounds.csv."""
@@ -482,29 +450,30 @@ def _loop_plan(scenario: str, values: dict, errors: list[str]) -> list:
         runs.append((None, values["schedule_obj"], lv["sample_sizes"]))
     for lam in sw["lambdas"] if sw else ():
         m = int(round(lam * sw["n_real"]))
-        try:
-            schedule = MixtureSchedule.fixed_ratio(sw["n_real"], m, sw["max_generation"])
-        except ValueError as exc:
-            errors.append(f"sweep.lambdas: lambda={lam:g}: {exc}")
-            continue
-        runs.append((f"{scenario}:lambda={lam:g}", schedule, ConstantSizes(sw["n_real"] + m)))
+        schedule = _build(
+            f"sweep.lambdas: lambda={lam:g}",
+            lambda: MixtureSchedule.fixed_ratio(sw["n_real"], m, sw["max_generation"]),
+            errors,
+        )
+        if schedule is not None:
+            runs.append((f"{scenario}:lambda={lam:g}", schedule, ConstantSizes(sw["n_real"] + m)))
+    # the generator's own [loop] key: eval_nodes or eval_samples
+    evaluation = {key: lv[key] for key in _GENERATORS[lv["generator"]]}
     plan = []
     for label, schedule, sizes in runs:
-        try:
-            plan.append((label, LoopConfig(
-                generator=values["generator_obj"],
-                schedule=schedule,
-                p0=values["target_obj"],
-                sample_sizes=sizes,
-                max_generation=schedule.max_generation,
-                replicates=values["run"]["replicates"],
-                base_seed=values["run"]["base_seed"],
-                delta=lv["delta"],
-                eval_nodes=lv["eval_nodes"],
-                eval_samples=lv["eval_samples"],
-            )))
-        except ValueError as exc:
-            errors.append(f"loop: {exc}")
+        lcfg = _build("loop", lambda: LoopConfig(
+            generator=generator,
+            schedule=schedule,
+            p0=values["target_obj"],
+            sample_sizes=sizes,
+            max_generation=schedule.max_generation,
+            replicates=values["run"]["replicates"],
+            base_seed=values["run"]["base_seed"],
+            delta=lv["delta"],
+            **evaluation,
+        ), errors)
+        if lcfg is not None:
+            plan.append((label, lcfg))
     return plan
 
 
@@ -602,7 +571,6 @@ def _run_kde_rate(cfg: ExperimentConfig, out_dir: Path) -> None:
                     ),
                     "kl_prior": "",
                     "seed": seed,
-                    "runtime_ms": 0,
                 }
             )
     write_csv_atomic(out_dir / "results.csv", RESULT_COLUMNS, rows)
@@ -634,15 +602,16 @@ def _run_phase_transition(cfg: ExperimentConfig, out_dir: Path) -> None:
 
 
 # The one list of scenarios: each name maps to the config sections it reads
-# after [run], in the order they are checked and echoed to the manifest, and
-# to the runner that writes its outputs.
+# after [run], in the order they are checked and echoed to the manifest (a
+# loop then reads its generator's section), and to the runner that writes its
+# outputs.
 SCENARIOS = {
     "kde_rate": (("target", "kde", "kde_rate"), _run_kde_rate),
-    "full_synthetic": (("target", "schedule", "loop", "kde", "diffusion"), _run_loops),
-    "balanced": (("target", "schedule", "loop", "kde", "diffusion"), _run_loops),
-    "fixed_ratio_sweep": (("target", "loop", "kde", "diffusion", "sweep"), _run_loops),
-    "real_each_gen": (("target", "schedule", "loop", "kde", "diffusion"), _run_loops),
-    "diffusion_1d": (("target", "schedule", "loop", "kde", "diffusion"), _run_loops),
+    "full_synthetic": (("target", "schedule", "loop"), _run_loops),
+    "balanced": (("target", "schedule", "loop"), _run_loops),
+    "fixed_ratio_sweep": (("target", "sweep", "loop"), _run_loops),
+    "real_each_gen": (("target", "schedule", "loop"), _run_loops),
+    "diffusion_1d": (("target", "schedule", "loop"), _run_loops),
     "bounds_report": (("schedule", "bounds"), _run_bounds_report),
     "phase_transition": (("phase",), _run_phase_transition),
 }
@@ -701,7 +670,9 @@ def _cmd_run(args) -> int:
 def _cmd_bounds(args) -> int:
     try:
         i = _p_pos_int(args.i)  # the rule of [bounds] i
-        schedule = _build_schedule(args.schedule, i, args.n_real, args.m_synth, args.alpha)
+        schedule = MixtureSchedule(
+            args.schedule, i, n_real=args.n_real, m_synth=args.m_synth, alpha=args.alpha
+        )
         counts = _p_int_list(args.n)
         n = ConstantSizes(counts[0]) if len(counts) == 1 else ExplicitSizes(counts)
         inputs = _bound_inputs(

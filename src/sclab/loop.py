@@ -409,7 +409,6 @@ def trace_rows(trace: LoopTrace, scenario: str) -> list[dict]:
                 "bound_value": rec.bound_value,
                 "kl_prior": "" if rec.kl_prior is None else rec.kl_prior,
                 "seed": rec.seed,
-                "runtime_ms": 0,
             }
         )
     return rows

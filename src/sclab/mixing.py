@@ -17,6 +17,8 @@ from .distributions import SampleSet, TargetDensity
 SIMPLEX_TOL = 1e-12
 
 _KINDS = ("general", "full_synthetic", "balanced", "fixed_ratio", "real_each_gen")
+# the parameter fields each kind reads; a kind refuses every other one that is set
+_FIELDS = {"general": ("rows",), "fixed_ratio": ("n_real", "m_synth"), "real_each_gen": ("alpha",)}
 
 Row = tuple[float, tuple[float, ...]]
 Sampler = Callable[[int, np.random.Generator], np.ndarray]
@@ -52,6 +54,9 @@ class MixtureSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.max_generation < 1:
             raise ValueError("max_generation must be >= 1")
+        for name in ("rows", "n_real", "m_synth", "alpha"):
+            if getattr(self, name) is not None and name not in _FIELDS.get(self.kind, ()):
+                raise ValueError(f"{self.kind} schedule takes no {name}")
         if self.kind == "general":
             if self.rows is None or len(self.rows) != self.max_generation:
                 raise ValueError("general schedule needs one row per generation")

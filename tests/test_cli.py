@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,12 +69,32 @@ kind = gauss1d
 
 [loop]
 generator = kde
-sample_sizes = constant:64
 
 [sweep]
 n_real = 64
 lambdas = 0.5, -2
 max_generation = 2
+"""
+
+DIFFUSION_CONFIG = """
+[run]
+scenario = diffusion_1d
+base_seed = 1
+
+[target]
+kind = gauss1d
+
+[schedule]
+kind = full_synthetic
+max_generation = 1
+
+[loop]
+generator = diffusion
+sample_sizes = constant:64
+eval_samples = 200
+
+[diffusion]
+reverse_steps = 10
 """
 
 BOUNDS_CONFIG = """
@@ -106,6 +127,16 @@ GAUSS1D = "gauss1d\nmean = 0.0\nstd = 1.0"
 GENERAL_CONFIG = LOOP_CONFIG.replace(
     "kind = full_synthetic\nmax_generation = 3", "kind = general\nmax_generation = 2\n{rows}"
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_FILES = sorted(
+    [*(ROOT / "tests" / "configs").glob("*.ini"), *(ROOT / "perfbench" / "workloads").glob("*.ini")]
+)
+
+
+def _scenario(kind):
+    """LOOP_CONFIG run as the scenario named after schedule ``kind``."""
+    return LOOP_CONFIG.replace("full_synthetic", kind)
 
 
 class TestParseConfig:
@@ -161,6 +192,21 @@ sample_sizes = constant:64
         cfg = parse_config(MINIMAL_KDE_RATE, overrides={"base_seed": "42"})
         assert cfg.base_seed == 42
         assert cfg.echo["run"]["base_seed"] == "42"
+
+    @pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_committed_configs_parse(self, path):
+        # the benchmark workloads leave base_seed to their runner
+        cfg = parse_config(path.read_text(), overrides={"base_seed": "1"})
+        assert cfg.scenario
+
+    def test_manifest_echoes_only_the_keys_read(self):
+        kde = parse_config(LOOP_CONFIG.format(out="out")).manifest_text()
+        assert "[kde]" in kde and "eval_nodes" in kde
+        assert "[diffusion]" not in kde and "eval_samples" not in kde
+        diffusion = parse_config(DIFFUSION_CONFIG).manifest_text()
+        assert "[diffusion]" in diffusion and "eval_samples" in diffusion
+        assert "[kde]" not in diffusion and "eval_nodes" not in diffusion
+        assert "alpha" not in kde + diffusion and "var" not in kde + diffusion
 
     def test_general_rows_round_trip(self):
         text = """
@@ -275,7 +321,6 @@ kind = gauss1d
 
 [loop]
 generator = kde
-sample_sizes = constant:64
 
 [kde]
 kernel = gaussian
@@ -304,7 +349,6 @@ components = 0.5:-2:1, 0.5:2:1
 
 [loop]
 generator = kde
-sample_sizes = constant:100
 
 [sweep]
 n_real = 64
@@ -340,6 +384,15 @@ class TestDeterminismAndManifest:
         cfg = parse_config(manifest, overrides={"out_dir": str(out_b)})
         run_scenario(cfg)
         assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
+
+    def test_kde_manifest_without_diffusion_reproduces_results(self, tmp_path):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        run_scenario(parse_config(LOOP_CONFIG.format(out=out_a)))
+        manifest = (out_a / "manifest.ini").read_text()
+        assert "[diffusion]" not in manifest
+        run_scenario(parse_config(manifest, overrides={"out_dir": str(out_b)}))
+        for name in ("results.csv", "bounds.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 class TestCommandLine:
@@ -441,7 +494,7 @@ lr = 1e18
             (LOOP_CONFIG.replace("constant:256", "constant:256\neval_nodes = 129"),
              "loop: eval_nodes must be >= 1024"),
             # every lambda's loop refuses the same value; it is reported once
-            (SWEEP_CONFIG.replace("-2", "2").replace("64\n\n", "64\neval_nodes = 129\n\n"),
+            (SWEEP_CONFIG.replace("-2", "2").replace("= kde\n", "= kde\neval_nodes = 129\n"),
              "loop: eval_nodes must be >= 1024"),
             (BOUNDS_CONFIG.format(n="constant:100", i=5),
              "bounds.i: 5 exceeds schedule.max_generation"),
@@ -453,7 +506,8 @@ lr = 1e18
              "kde: the loop cannot draw from a signed (higher-order) kernel estimate"),
             (LOOP_CONFIG.replace("mean = 0.0", "mean = nan"),
              "target.mean: 'nan' is not a finite number"),
-            (LOOP_CONFIG.replace("mean = 0.0", "mean ="), "target.mean: empty list"),
+            (LOOP_CONFIG.replace("mean = 0.0", "mean ="),
+             "target.mean: could not convert string to float: ''"),
             (LOOP_CONFIG.replace("gauss1d\nmean = 0.0\nstd = 1.0", MIXTURE.format("nan:0:1")),
              "target.components: 'nan' is not a finite number"),
             (LOOP_CONFIG.replace("gauss1d\nmean = 0.0\nstd = 1.0", MIXTURE.format("0.5:inf:1")),
@@ -476,7 +530,7 @@ lr = 1e18
         "text, flags, errors",
         [
             (LOOP_CONFIG.replace(GAUSS1D, "gauss_mixture1d"), [],
-             ["target.components: missing required key for mixtures"]),
+             ["target.components: missing required key"]),
             (LOOP_CONFIG.replace(GAUSS1D, MIXTURE.format("0.5:2")), [],
              ["target.components: component '0.5:2' is not weight:mean:std"]),
             (LOOP_CONFIG.replace("constant:256", "quartic:0"), [],
@@ -487,20 +541,21 @@ lr = 1e18
              ["loop.sample_sizes: 'poisson:3': expected constant:N, list:n0,n1,..., "
               "quartic:eps or balanced:eps"]),
             (LOOP_CONFIG.replace("max_generation = 3", "max_generation = 3\nrow1 = 1.0, 0.0"), [],
-             ["schedule: explicit rows are only valid for kind general"]),
+             ["schedule.row1: unknown key"]),
             (GENERAL_CONFIG.replace("{rows}", "row1 = 0.5, 0.5"), [],
              ["schedule.row2: missing required key"]),
             (GENERAL_CONFIG.replace("{rows}", "row1 = 0.5, x\nrow2 = 0.25, 0.25, 0.5"), [],
              ["schedule.row1: could not convert string to float: 'x'"]),
             (GENERAL_CONFIG.replace(
                 "{rows}", "row1 = 0.5, 0.5\nrow2 = 0.25, 0.25, 0.5\nrow3 = 1, 0, 0, 0"), [],
-             ["schedule.row3: beyond max_generation 2"]),
+             ["schedule.row3: unknown key"]),
             (LOOP_CONFIG.replace("scenario = full_synthetic", "scenario = balanced"), [],
              ["schedule.kind: scenario balanced requires kind balanced"]),
             (LOOP_CONFIG.replace("scenario = full_synthetic", "scenario = diffusion_1d"), [],
              ["loop.generator: diffusion_1d requires the diffusion generator"]),
             (LOOP_CONFIG.replace("scenario = full_synthetic", "scenario = diffusion_1d")
-             .replace("generator = kde", "generator = diffusion").replace(GAUSS1D, "gauss2d"), [],
+             .replace("generator = kde", "generator = diffusion").replace(GAUSS1D, "gauss2d")
+             .replace("\n[kde]\nkernel = gaussian\n", ""), [],
              ["target: diffusion_1d needs a one-dimensional target"]),
             (BOUNDS_CONFIG.format(n="constant:100", i=2) + "family = kde\n", [],
              ["bounds.s: required for the kde family"]),
@@ -515,7 +570,7 @@ lr = 1e18
             (MINIMAL_KDE_RATE.replace("scenario = kde_rate\n", ""), [],
              ["run.scenario: missing required key"]),
             (LOOP_CONFIG.replace("mean = 0.0", "mean = 0.0, 1.0"), [],
-             ["target: gauss1d mean must be one number"]),
+             ["target.mean: could not convert string to float: '0.0, 1.0'"]),
             (LOOP_CONFIG.replace("base_seed = 99", f"base_seed = {2**64}"), [],
              ["run.base_seed: seed must fit in 64 bits"]),
             (MINIMAL_KDE_RATE.replace("sizes = 128,256", "sizes = ,"), [],
@@ -589,6 +644,74 @@ delta = 0.2
         expect = (cfg_out / "bounds.csv").read_bytes()
         assert (cli_out / "bounds.csv").read_bytes() == expect
         assert len(expect.splitlines()) == 1 + 4
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (LOOP_CONFIG + "\n[diffusion]\nreverse_steps = 20\n",
+             "[diffusion]: unknown section for scenario full_synthetic"),
+            (DIFFUSION_CONFIG + "\n[kde]\nkernel = gaussian\n",
+             "[kde]: unknown section for scenario diffusion_1d"),
+            (LOOP_CONFIG.replace("constant:256", "constant:256\neval_samples = 1000"),
+             "loop.eval_samples: unknown key"),
+            (DIFFUSION_CONFIG.replace("eval_samples = 200", "eval_nodes = 4096"),
+             "loop.eval_nodes: unknown key"),
+            (LOOP_CONFIG.replace("std = 1.0", "std = 1.0\nvar = 1.0"), "target.var: unknown key"),
+            (LOOP_CONFIG.replace(GAUSS1D, "gauss2d\nstd = 1.0"), "target.std: unknown key"),
+            (LOOP_CONFIG.replace(GAUSS1D, MIXTURE.format("0.5:-2:1") + "\nmean = 0.0"),
+             "target.mean: unknown key"),
+            (_scenario("balanced").replace("max_generation = 3", "max_generation = 3\nalpha = 0.5"),
+             "schedule.alpha: unknown key"),
+            (_scenario("real_each_gen").replace("max_generation = 3",
+                                                "max_generation = 3\nalpha = 0.5\nn_real = 64"),
+             "schedule.n_real: unknown key"),
+            (SWEEP_CONFIG.replace("-2", "2")
+             .replace("= kde\n", "= kde\nsample_sizes = constant:64\n"),
+             "loop.sample_sizes: unknown key"),
+            (GENERAL_CONFIG.replace("{rows}", "row0 = 1\nrow1 = 0.5, 0.5\nrow2 = 0.25, 0.25, 0.5"),
+             "schedule.row0: unknown key"),
+            (BOUNDS_CONFIG.format(n="constant:100", i=2)
+             .replace("= balanced", "= fixed_ratio\nn_real = 3"),
+             "schedule.m_synth: missing required key"),
+        ],
+        ids=["diffusion_in_kde_loop", "kde_in_diffusion_loop", "eval_samples_kde",
+             "eval_nodes_diffusion", "var_gauss1d", "std_gauss2d", "mean_mixture",
+             "alpha_balanced", "n_real_real_each_gen", "sample_sizes_sweep", "row_zero",
+             "fixed_ratio_m_synth"],
+    )
+    def test_key_outside_its_variant_refused(self, tmp_path, capsys, text, message):
+        """Each section is checked against the keys of its own kind and generator."""
+        out = tmp_path / "out"
+        path = tmp_path / "dead.ini"
+        path.write_text(text.replace("{out}", str(out)))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "config", "errors": [message]}
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, flags, message",
+        [
+            ("balanced", ["--n-real", "100"], "balanced schedule takes no n_real"),
+            ("full_synthetic", ["--m-synth", "300"], "full_synthetic schedule takes no m_synth"),
+            ("balanced", ["--alpha", "0.5"], "balanced schedule takes no alpha"),
+            ("real_each_gen", ["--alpha", "0.5", "--n-real", "100"],
+             "real_each_gen schedule takes no n_real"),
+            ("fixed_ratio", ["--n-real", "100", "--m-synth", "300", "--alpha", "0.5"],
+             "fixed_ratio schedule takes no alpha"),
+        ],
+        ids=["n_real_balanced", "m_synth_full_synthetic", "alpha_balanced",
+             "n_real_real_each_gen", "alpha_fixed_ratio"],
+    )
+    def test_bounds_subcommand_rejects_flags_of_another_kind(
+        self, tmp_path, capsys, kind, flags, message
+    ):
+        out = tmp_path / "out"
+        code = main(["bounds", "--schedule", kind, "--i", "3", *flags, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "config", "errors": [message]}
+        assert not out.exists()
 
     def test_bounds_subcommand_rejects_short_count_list(self, tmp_path, capsys):
         code = main(

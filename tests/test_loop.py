@@ -593,7 +593,6 @@ class TestSummariesAndRows:
             "bound_value",
             "kl_prior",
             "seed",
-            "runtime_ms",
         ]
         assert rows[0]["kl_prior"] == ""  # kernel generator carries no prior term
         assert rows[1]["generation"] == 2

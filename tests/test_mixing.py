@@ -66,6 +66,20 @@ class TestWeightsAt:
         with pytest.raises(ValueError, match="nonnegative"):
             MixtureSchedule.general([(1.2, (-0.2,))])
 
+    @pytest.mark.parametrize(
+        "kind, fields, name",
+        [
+            ("balanced", {"alpha": 0.5}, "alpha"),
+            ("full_synthetic", {"rows": ((1.0, ()),)}, "rows"),
+            ("real_each_gen", {"alpha": 0.5, "n_real": 10}, "n_real"),
+            ("fixed_ratio", {"n_real": 1, "m_synth": 3, "alpha": 0.5}, "alpha"),
+            ("general", {"rows": ((0.5, (0.5,)),), "m_synth": 3}, "m_synth"),
+        ],
+    )
+    def test_refuses_fields_of_another_kind(self, kind, fields, name):
+        with pytest.raises(ValueError, match=f"^{kind} schedule takes no {name}$"):
+            MixtureSchedule(kind, 1, **fields)
+
     @given(rows=normalized_rows(5))
     @settings(max_examples=100, deadline=None)
     def test_random_general_rows_satisfy_simplex(self, rows):
