@@ -10,7 +10,7 @@ import time
 
 from sclab.distributions import Gauss1D
 from sclab.kernels import KernelSpec
-from sclab.loop import ConstantSizes, KdeGenerator, LoopConfig, run_replicates
+from sclab.loop import KdeGenerator, LoopConfig, run_replicates
 from sclab.mixing import MixtureSchedule
 
 GENERATIONS = 6
@@ -32,8 +32,7 @@ for name, schedule in cycles.items():
         generator=KdeGenerator(kernel=KernelSpec.gaussian()),
         schedule=schedule,
         p0=Gauss1D(0, 1),
-        sample_sizes=ConstantSizes(N),
-        max_generation=GENERATIONS,
+        sizes=(N,) * GENERATIONS,
         replicates=REPLICATES,
         base_seed=2025,
     )
@@ -46,8 +45,7 @@ cfg = LoopConfig(
     generator=KdeGenerator(kernel=KernelSpec.gaussian()),
     schedule=MixtureSchedule.full_synthetic(GENERATIONS),
     p0=Gauss1D(0, 1),
-    sample_sizes=ConstantSizes(N),
-    max_generation=GENERATIONS,
+    sizes=(N,) * GENERATIONS,
     base_seed=2025,
 )
 from sclab.loop import run_loop

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -25,15 +26,7 @@ import numpy as np
 from . import __version__, bounds, kernels, loop, mixing
 from .distributions import Gauss1D, Gauss2D, GaussMixture1D
 from .kernels import KernelSpec
-from .loop import (
-    BalancedSizes,
-    ConstantSizes,
-    DiffusionGenerator,
-    ExplicitSizes,
-    KdeGenerator,
-    LoopConfig,
-    QuarticSizes,
-)
+from .loop import DiffusionGenerator, KdeGenerator, LoopConfig
 from .mixing import MixtureSchedule
 from . import diffusion as diffusion_mod
 
@@ -140,18 +133,32 @@ def _p_components(text):
 
 
 def _p_size_rule(text):
+    """A size rule as ``(kind, value)``; ``_sizes`` resolves it."""
     head, _, rest = text.partition(":")
-    if head == "constant":
-        return ConstantSizes(_p_pos_int(rest))
-    if head == "list":
-        return ExplicitSizes(_p_int_list(rest))
-    if head == "quartic":
-        return QuarticSizes(_p_pos_float(rest))
-    if head == "balanced":
-        return BalancedSizes(_p_pos_float(rest))
-    raise ValueError(
-        f"{text!r}: expected constant:N, list:n0,n1,..., quartic:eps or balanced:eps"
-    )
+    parse = {"constant": _p_pos_int, "list": _p_int_list,
+             "quartic": _p_pos_float, "balanced": _p_pos_float}.get(head)
+    if parse is None:
+        raise ValueError(
+            f"{text!r}: expected constant:N, list:n0,n1,..., quartic:eps or balanced:eps"
+        )
+    return head, parse(rest)
+
+
+def _sizes(rule, generations: int, dim: int) -> tuple[int, ...]:
+    """One training-set size per generation under a size rule: ``quartic``
+    and ``balanced`` give the uniform and the front-loaded sizes that bound
+    the fully synthetic and the uniform-mixture cycle at error order eps."""
+    kind, value = rule
+    if kind == "constant":
+        return (value,) * generations
+    if kind == "list":
+        if len(value) != generations:
+            raise ValueError(f"need {generations} sample counts, got {len(value)}")
+        return value
+    last = max(1, generations - 1)
+    if kind == "quartic":
+        return (bounds.required_samples_quartic(last, dim, value),) * generations
+    return bounds.required_samples_balanced(last, dim, value)[:generations]
 
 
 # ----------------------------------------------------------------------------
@@ -313,7 +320,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
     for section in ("run", *sections_read):
         present = sections.get(section, {})
-        keys, complete = _section_keys(scenario, section, present)
+        keys, complete = _section_keys(scenario, section, present, errors)
         values[section] = {}
         echo[section] = {}
         for key, (required, parse, default) in keys.items():
@@ -348,11 +355,15 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     )
 
 
-def _section_keys(scenario: str, section: str, present: dict) -> tuple[dict, bool]:
+def _section_keys(scenario: str, section: str, present: dict, errors: list) -> tuple[dict, bool]:
     """The keys ``section`` reads, its own plus those of the variant its
     selector key names, and whether that is all of them. It is not when the
     selector (or a general schedule's max_generation) is invalid, an error
-    reported under that key; the section's other keys then go unchecked."""
+    reported under that key; the section's other keys then go unchecked.
+
+    A general schedule's rows are the ``row<i>`` keys present with
+    1 <= i <= max_generation, in order of i; the rows it lacks add one error
+    to ``errors``, so the work done does not grow with max_generation."""
     keys = dict(_SCHEMA[section])
     if section == "loop" and scenario == "fixed_ratio_sweep":
         del keys["sample_sizes"]  # each lambda's loop draws n_real + m points a generation
@@ -367,7 +378,19 @@ def _section_keys(scenario: str, section: str, present: dict) -> tuple[dict, boo
             gens = _p_pos_int(present.get("max_generation", ""))
         except ValueError:
             return keys, False
-        keys.update({f"row{i}": (True, _p_float_list, None) for i in range(1, gens + 1)})
+        # row<i> keys order by i as (length, text), so no index is converted to an int
+        last = (len(f"row{gens}"), f"row{gens}")
+        rows = sorted(
+            (k for k in present if re.fullmatch("row[1-9][0-9]*", k) and (len(k), k) <= last),
+            key=lambda k: (len(k), k),
+        )
+        keys.update(dict.fromkeys(rows, (True, _p_float_list, None)))
+        if len(rows) < gens:
+            first = next(i for i in range(1, gens + 1) if f"row{i}" not in present)
+            missing = gens - len(rows)
+            errors.append(
+                f"schedule.row{first}: missing required key ({missing} of {gens} rows missing)"
+            )
     return keys, True
 
 
@@ -404,12 +427,15 @@ def _validate_semantics(scenario: str, values: dict, errors: list[str]) -> None:
         order = kv.get("order", 4 if kv["kernel"] == "higher_order_gaussian" else 2)
         values["kernel_obj"] = _build("kde", lambda: KernelSpec(kv["kernel"], order), errors)
     if "loop" in values:
-        name = values["loop"]["generator"]
+        lv = values["loop"]
+        name = lv["generator"]
         if scenario == "diffusion_1d" and name != "diffusion":
             errors.append("loop.generator: diffusion_1d requires the diffusion generator")
         generator = None
         if name == "kde" and values["kernel_obj"] is not None:
-            generator = _build("kde", lambda: KdeGenerator(kernel=values["kernel_obj"]), errors)
+            generator = _build("loop", lambda: KdeGenerator(
+                kernel=values["kernel_obj"], eval_nodes=lv["eval_nodes"]
+            ), errors)
         elif name == "diffusion":
             dv = values["diffusion"]
             generator = _build("diffusion", lambda: DiffusionGenerator(
@@ -421,6 +447,7 @@ def _validate_semantics(scenario: str, values: dict, errors: list[str]) -> None:
                 width_factor=dv["width_factor"],
                 tau_factor=dv["tau_factor"],
                 lr=dv.get("lr"),
+                eval_samples=lv["eval_samples"],
             ), errors)
         if values["target_obj"] is not None and generator is not None:
             values["loops"] = _loop_plan(scenario, values, generator, errors)
@@ -444,10 +471,15 @@ def _loop_plan(scenario: str, values: dict, generator, errors: list[str]) -> lis
     """(label, LoopConfig) pairs to run. A sweep labels each lambda's rows in
     both CSVs; a single loop's label is None, which keeps the scenario in
     results.csv and the schedule kind in bounds.csv."""
-    lv, sw = values["loop"], values.get("sweep")
-    runs = []  # (label, schedule, size rule)
-    if sw is None and values["schedule_obj"] is not None:
-        runs.append((None, values["schedule_obj"], lv["sample_sizes"]))
+    lv, sw, p0 = values["loop"], values.get("sweep"), values["target_obj"]
+    runs = []  # (label, schedule, sizes)
+    schedule = values.get("schedule_obj")
+    if sw is None and schedule is not None:
+        sizes = _build(
+            "loop", lambda: _sizes(lv["sample_sizes"], schedule.max_generation, p0.dim), errors
+        )
+        if sizes is not None:
+            runs.append((None, schedule, sizes))
     for lam in sw["lambdas"] if sw else ():
         m = int(round(lam * sw["n_real"]))
         schedule = _build(
@@ -456,36 +488,31 @@ def _loop_plan(scenario: str, values: dict, generator, errors: list[str]) -> lis
             errors,
         )
         if schedule is not None:
-            runs.append((f"{scenario}:lambda={lam:g}", schedule, ConstantSizes(sw["n_real"] + m)))
-    # the generator's own [loop] key: eval_nodes or eval_samples
-    evaluation = {key: lv[key] for key in _GENERATORS[lv["generator"]]}
-    plan = []
-    for label, schedule, sizes in runs:
-        lcfg = _build("loop", lambda: LoopConfig(
+            sizes = (sw["n_real"] + m,) * sw["max_generation"]
+            runs.append((f"{scenario}:lambda={lam:g}", schedule, sizes))
+    return [
+        (label, LoopConfig(
             generator=generator,
             schedule=schedule,
-            p0=values["target_obj"],
-            sample_sizes=sizes,
-            max_generation=schedule.max_generation,
+            p0=p0,
+            sizes=sizes,
             replicates=values["run"]["replicates"],
             base_seed=values["run"]["base_seed"],
             delta=lv["delta"],
-            **evaluation,
-        ), errors)
-        if lcfg is not None:
-            plan.append((label, lcfg))
-    return plan
+        ))
+        for label, schedule, sizes in runs
+    ]
 
 
 def _bound_inputs(n, i, d, delta, kl, s=None, r_cap=None) -> bounds.BoundInputs:
     """Bound inputs at generation ``i``, for [bounds] configs and ``sclab bounds``.
 
-    ``n`` is a size rule; ``kl`` holds one prior-mismatch term per generation
-    or a single term for all of them.
+    ``n`` is a size rule, resolved for generations 0..i; ``kl`` holds one
+    prior-mismatch term per generation or a single term for all of them.
     """
     kl_terms = kl * (i + 1) if len(kl) == 1 else kl
     return bounds.BoundInputs(
-        n=n.resolve(i + 1, d), d=d, delta=delta, kl_terms=kl_terms, s=s, R=r_cap
+        n=_sizes(n, i + 1, d), d=d, delta=delta, kl_terms=kl_terms, s=s, R=r_cap
     )
 
 
@@ -533,7 +560,7 @@ def _run_loops(cfg: ExperimentConfig, out_dir: Path) -> None:
         # bounds.csv: the generator's family at generation max_generation - 1,
         # with no prior-mismatch terms
         gen, i = lcfg.generator, max(0, lcfg.max_generation - 1)
-        inputs = gen.bound_inputs(lcfg.resolved_sizes()[: i + 1], lcfg.p0.dim, lcfg.delta)
+        inputs = gen.bound_inputs(lcfg.sizes[: i + 1], lcfg.p0.dim, lcfg.delta)
         for row in bounds.bound_table_rows(lcfg.schedule, inputs, gen.family):
             bound_rows.append({**row, "schedule": label or row["schedule"]})
     write_csv_atomic(out_dir / "results.csv", RESULT_COLUMNS, rows)
@@ -674,7 +701,7 @@ def _cmd_bounds(args) -> int:
             args.schedule, i, n_real=args.n_real, m_synth=args.m_synth, alpha=args.alpha
         )
         counts = _p_int_list(args.n)
-        n = ConstantSizes(counts[0]) if len(counts) == 1 else ExplicitSizes(counts)
+        n = ("constant", counts[0]) if len(counts) == 1 else ("list", counts)
         inputs = _bound_inputs(
             n, i, args.d, args.delta, _p_float_list(args.kl), args.s, args.r_cap
         )

@@ -36,6 +36,7 @@ class KdeGenerator:
     """
 
     kernel: KernelSpec
+    eval_nodes: int = 4096  # quadrature nodes per dim of each measurement
     family: ClassVar[str] = "kde"
 
     def __post_init__(self):
@@ -44,6 +45,8 @@ class KdeGenerator:
             raise kernels.SignedKernelError(
                 "the loop cannot draw from a signed (higher-order) kernel estimate"
             )
+        if self.eval_nodes < MIN_NODES:
+            raise ValueError(f"eval_nodes must be >= {MIN_NODES}")
 
     def fit(self, data, seed_row) -> tuple[KdeModel, dict, None]:
         model = kernels.fit(data, self.kernel)
@@ -54,7 +57,7 @@ class KdeGenerator:
         (``tv_grid`` of the target's box at ``eval_nodes`` nodes), built once,
         with p0 and each kept model evaluated on it once; the replicate's
         ``seeds`` are not needed."""
-        axes, pts = tv_grid(cfg.p0.support_hint, cfg.eval_nodes)
+        axes, pts = tv_grid(cfg.p0.support_hint, self.eval_nodes)
         target = np.asarray(cfg.p0.pdf(pts), dtype=float)
         values: dict[int, np.ndarray] = {}  # kept models' pdf on the grid, by model index
 
@@ -91,6 +94,7 @@ class DiffusionGenerator:
     width_factor: float = 1.0  # network width = ceil(factor * n)
     tau_factor: float = 1.0  # descent steps = ceil(factor * sqrt(n))
     lr: float | None = None  # None: 1 / top-eigenvalue estimate
+    eval_samples: int = 100_000  # draws per histogram of each measurement
     family: ClassVar[str] = "diffusion"
 
     def fit(self, data, seed_row) -> tuple[diffusion.DiffusionModel, dict, float]:
@@ -125,10 +129,10 @@ class DiffusionGenerator:
         components, which draws the real component a second time (a few
         hundred normals per generation).
         """
-        p0, box, n = cfg.p0, cfg.p0.support_hint, cfg.eval_samples
+        p0, box, n = cfg.p0, cfg.p0.support_hint, self.eval_samples
         ref_seed, tv_seeds, mix_seeds = _eval_seeds(cfg.base_seed, cfg.max_generation)
         ref = p0.sample(n, ref_seed)
-        plan = _plan_draws(cfg, seeds, tv_seeds, mix_seeds)
+        plan = _plan_draws(cfg, n, seeds, tv_seeds, mix_seeds)
 
         def measure(g, model, weights, models):
             model.serve(plan.pop(g))
@@ -149,80 +153,32 @@ Generator = Union[KdeGenerator, DiffusionGenerator]
 
 
 @dataclass(frozen=True)
-class ConstantSizes:
-    n: int
-
-    def resolve(self, generations: int, dim: int) -> tuple[int, ...]:
-        return (self.n,) * generations
-
-
-@dataclass(frozen=True)
-class ExplicitSizes:
-    values: tuple[int, ...]
-
-    def resolve(self, generations: int, dim: int) -> tuple[int, ...]:
-        if len(self.values) != generations:
-            raise ValueError(
-                f"need {generations} sample counts, got {len(self.values)}"
-            )
-        return tuple(int(v) for v in self.values)
-
-
-@dataclass(frozen=True)
-class QuarticSizes:
-    """Uniform counts sized for the fully synthetic cycle at error order eps."""
-
-    eps: float
-
-    def resolve(self, generations: int, dim: int) -> tuple[int, ...]:
-        n = bounds.required_samples_quartic(max(1, generations - 1), dim, self.eps)
-        return (n,) * generations
-
-
-@dataclass(frozen=True)
-class BalancedSizes:
-    """Front-loaded counts sized for the uniform-mixture cycle at error order eps."""
-
-    eps: float
-
-    def resolve(self, generations: int, dim: int) -> tuple[int, ...]:
-        full = bounds.required_samples_balanced(max(1, generations - 1), dim, self.eps)
-        return full[:generations]
-
-
-SizeRule = Union[ConstantSizes, ExplicitSizes, QuarticSizes, BalancedSizes]
-
-
-@dataclass(frozen=True)
 class LoopConfig:
+    """One loop's plan as plain data; its ``max_generation`` is ``len(sizes)``."""
+
     generator: Generator
     schedule: MixtureSchedule
     p0: TargetDensity
-    sample_sizes: SizeRule
-    max_generation: int
+    sizes: tuple[int, ...]  # training-set size of each generation, model 1 first
     replicates: int = 1
     base_seed: int = 0
     delta: float = 0.1  # confidence level fed to the bound evaluators
-    eval_nodes: int = 4096  # quadrature grid per dim (kernel generator)
-    eval_samples: int = 100_000  # histogram draw size (diffusion generator)
 
     def __post_init__(self):
-        if self.max_generation < 1:
-            raise ValueError("max_generation must be >= 1")
+        if not self.sizes:
+            raise ValueError("sizes must hold at least one generation")
+        if any(v < 1 for v in self.sizes):
+            raise ValueError("every sample count must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.eval_nodes < MIN_NODES:
-            raise ValueError(f"eval_nodes must be >= {MIN_NODES}")
         if self.schedule.max_generation < self.max_generation - 1:
             raise ValueError(
                 "schedule must define rows up to max_generation - 1"
             )
-        sizes = self.sample_sizes.resolve(self.max_generation, self.p0.dim)
-        if any(v < 1 for v in sizes):
-            raise ValueError("every resolved sample count must be >= 1")
 
-    def resolved_sizes(self) -> tuple[int, ...]:
-        return self.sample_sizes.resolve(self.max_generation, self.p0.dim)
+    @property
+    def max_generation(self) -> int:
+        return len(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -272,8 +228,11 @@ def _sources(schedule: MixtureSchedule, g: int) -> range:
     return range(1, g) if schedule.needs_history else range(g - 1, g)
 
 
-def _plan_draws(cfg: LoopConfig, seeds: np.ndarray, tv_seeds: list, mix_seeds: list) -> dict:
-    """Every ``(n, seed)`` reverse-SDE draw of a diffusion replicate, by model.
+def _plan_draws(
+    cfg: LoopConfig, n_eval: int, seeds: np.ndarray, tv_seeds: list, mix_seeds: list
+) -> dict:
+    """Every ``(n, seed)`` reverse-SDE draw of a diffusion replicate, by model,
+    with ``n_eval`` points in each TV and reference-mixture draw.
 
     Model g is drawn once for its TV to p0, and by each later generation's
     training mixture and reference mixture that may draw from it
@@ -281,7 +240,7 @@ def _plan_draws(cfg: LoopConfig, seeds: np.ndarray, tv_seeds: list, mix_seeds: l
     recording components: the labels and seeds depend only on the mixture's
     own seed, not on the points drawn.
     """
-    n_eval, last = cfg.eval_samples, cfg.max_generation
+    last = cfg.max_generation
     plan = {g: [(n_eval, tv_seeds[g])] for g in range(1, last + 1)}
 
     def recorder(k):
@@ -291,11 +250,10 @@ def _plan_draws(cfg: LoopConfig, seeds: np.ndarray, tv_seeds: list, mix_seeds: l
 
         return draw
 
-    sizes = cfg.resolved_sizes()
     for g in range(2, last + 1):
         components = [recorder(k) if k in _sources(cfg.schedule, g) else None for k in range(1, g)]
         weights = cfg.schedule.weights_at(g - 1)
-        sample_mixture(cfg.p0, components, weights, sizes[g - 1], int(seeds[g - 1, 0]))
+        sample_mixture(cfg.p0, components, weights, cfg.sizes[g - 1], int(seeds[g - 1, 0]))
         sample_mixture(cfg.p0, components, weights, n_eval, mix_seeds[g])
     return plan
 
@@ -309,7 +267,6 @@ def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
     """Run one replicate of the loop and return its per-generation records."""
     gen = cfg.generator
     p0 = cfg.p0
-    sizes = cfg.resolved_sizes()
     replicate_seed = cfg.base_seed + replicate
     seeds = _gen_seeds(replicate_seed, cfg.max_generation)
     measure = gen.measurement(cfg, seeds)
@@ -318,7 +275,7 @@ def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
     kl_history: list[float] = []
 
     for g in range(1, cfg.max_generation + 1):
-        n_g = sizes[g - 1]
+        n_g = cfg.sizes[g - 1]
         draw_seed = int(seeds[g - 1, 0])
         if g == 1:
             data = p0.sample(n_g, draw_seed)
@@ -337,7 +294,7 @@ def run_loop(cfg: LoopConfig, replicate: int = 0) -> LoopTrace:
         if kl_prior is not None:
             kl_history.append(kl_prior)
         tv0, tv_prev = measure(g, model, weights, models)
-        inputs = gen.bound_inputs(sizes[:g], p0.dim, cfg.delta, tuple(kl_history))
+        inputs = gen.bound_inputs(cfg.sizes[:g], p0.dim, cfg.delta, tuple(kl_history))
         # bound_<family> is read from the module at each call, so perfbench's tracer sees it
         bound_value = getattr(bounds, f"bound_{gen.family}")(cfg.schedule, inputs)
 

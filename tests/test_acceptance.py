@@ -38,7 +38,7 @@ from sclab.diffusion import (
 from sclab.distributions import Gauss1D
 from sclab.divergences import kl_quadrature, tv_quadrature
 from sclab.kernels import KernelSpec, fit, l1_error
-from sclab.loop import ConstantSizes, KdeGenerator, LoopConfig, run_replicates
+from sclab.loop import KdeGenerator, LoopConfig, run_replicates
 from sclab.mixing import MixtureSchedule
 
 
@@ -194,8 +194,7 @@ def test_criterion_5_self_consuming_kde_trends():
             generator=gen,
             schedule=schedule,
             p0=g,
-            sample_sizes=ConstantSizes(2048),
-            max_generation=6,
+            sizes=(2048,) * 6,
             replicates=12,
             base_seed=1000,
         )

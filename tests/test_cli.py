@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from sclab.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
+    _p_size_rule,
+    _sizes,
     main,
     parse_config,
     run_scenario,
@@ -231,6 +234,45 @@ sample_sizes = constant:64
         sched = cfg.values["schedule_obj"]
         assert sched.kind == "general"
         assert sched.weights_at(2) == (0.25, (0.25, 0.5))
+
+    def test_general_rows_in_generation_order(self):
+        def config(rows):
+            text = BOUNDS_CONFIG.format(n="constant:100", i=2)
+            return parse_config(text.replace("kind = balanced", f"kind = general\n{rows}"))
+
+        ordered = config("row1 = 0.5, 0.5\nrow2 = 0.25, 0.25, 0.5")
+        shuffled = config("row2 = 0.25, 0.25, 0.5\nrow1 = 0.5, 0.5")
+        assert shuffled.values["schedule_obj"].weights_at(1) == (0.5, (0.5,))
+        assert shuffled.values["schedule_obj"] == ordered.values["schedule_obj"]
+        assert shuffled.manifest_text() == ordered.manifest_text()
+
+
+class TestSizeRules:
+    """Each [loop] sample_sizes rule, resolved for (generations, dim)."""
+
+    def test_constant(self):
+        assert _sizes(_p_size_rule("constant:64"), 4, 1) == (64, 64, 64, 64)
+
+    def test_list_and_its_length(self):
+        # a config's list of the wrong length: test_config_error_exits_before_out_dir[list_length]
+        assert _sizes(_p_size_rule("list:1,2,3"), 3, 1) == (1, 2, 3)
+        with pytest.raises(ValueError, match="need 3 sample counts, got 2"):
+            _sizes(_p_size_rule("list:1,2"), 3, 1)
+
+    def test_quartic_targets_final_generation(self):
+        assert _sizes(_p_size_rule("quartic:1"), 5, 1) == (256,) * 5  # (4 * sqrt(1) / 1) ** 4
+
+    def test_balanced_front_loaded(self):
+        sizes = _sizes(_p_size_rule("balanced:1"), 3, 1)
+        assert len(sizes) == 3
+        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+
+    @pytest.mark.parametrize("rule", ["constant:256", "quartic:1", "balanced:1"])
+    def test_loop_config_holds_the_resolved_sizes(self, rule):
+        text = LOOP_CONFIG.replace("constant:256", rule)
+        ((_, lcfg),) = parse_config(text).values["loops"]
+        assert lcfg.sizes == _sizes(_p_size_rule(rule), 3, 1)
+        assert lcfg.max_generation == 3
 
 
 class TestScenarios:
@@ -503,7 +545,7 @@ lr = 1e18
              "kde_rate.sizes: 0 is not a positive count"),
             (PHASE_CONFIG, "phase.i_values: 0 is not a positive count"),
             (LOOP_CONFIG.replace("kernel = gaussian", "kernel = higher_order_gaussian"),
-             "kde: the loop cannot draw from a signed (higher-order) kernel estimate"),
+             "loop: the loop cannot draw from a signed (higher-order) kernel estimate"),
             (LOOP_CONFIG.replace("mean = 0.0", "mean = nan"),
              "target.mean: 'nan' is not a finite number"),
             (LOOP_CONFIG.replace("mean = 0.0", "mean ="),
@@ -543,7 +585,7 @@ lr = 1e18
             (LOOP_CONFIG.replace("max_generation = 3", "max_generation = 3\nrow1 = 1.0, 0.0"), [],
              ["schedule.row1: unknown key"]),
             (GENERAL_CONFIG.replace("{rows}", "row1 = 0.5, 0.5"), [],
-             ["schedule.row2: missing required key"]),
+             ["schedule.row2: missing required key (1 of 2 rows missing)"]),
             (GENERAL_CONFIG.replace("{rows}", "row1 = 0.5, x\nrow2 = 0.25, 0.25, 0.5"), [],
              ["schedule.row1: could not convert string to float: 'x'"]),
             (GENERAL_CONFIG.replace(
@@ -594,6 +636,23 @@ lr = 1e18
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "config", "errors": errors}
         assert not out.exists()
+
+    def test_general_schedule_missing_rows_are_one_error(self, tmp_path, capsys):
+        # refused before any per-row work: time and memory do not grow with max_generation
+        out = tmp_path / "out"
+        path = tmp_path / "bad.ini"
+        path.write_text(GENERAL_CONFIG.replace("max_generation = 2", "max_generation = 1000000000")
+                        .replace("{rows}", "row1 = 0.5, 0.5"))
+        start = time.perf_counter()
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "config", "errors": [
+            "schedule.row2: missing required key (999999999 of 1000000000 rows missing)"
+        ]}
+        assert not out.exists()
+        assert elapsed < 0.1
 
     @pytest.mark.parametrize(
         "kind, flags, section",

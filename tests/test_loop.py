@@ -4,21 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sclab import diffusion, kernels, loop
+from sclab import bounds, diffusion, kernels, loop
 from sclab.cli import parse_config, run_scenario
 from sclab.diffusion import DiffusionConfig, ScoreNet
 from sclab.distributions import Gauss1D
 from sclab.divergences import tv_quadrature
 from sclab.kernels import KernelSpec
 from sclab.loop import (
-    BalancedSizes,
-    ConstantSizes,
     DiffusionGenerator,
-    ExplicitSizes,
     KdeGenerator,
     LoopConfig,
     LoopError,
-    QuarticSizes,
     run_loop,
     run_replicates,
     trace_rows,
@@ -35,31 +31,42 @@ def kde_config(schedule, n=512, generations=None, replicates=1, seed=100):
         generator=KDE,
         schedule=schedule,
         p0=GAUSS,
-        sample_sizes=ConstantSizes(n),
-        max_generation=generations or schedule.max_generation,
+        sizes=(n,) * (generations or schedule.max_generation),
         replicates=replicates,
         base_seed=seed,
-        eval_nodes=4096,
     )
 
 
-class TestSizeRules:
-    def test_constant(self):
-        assert ConstantSizes(64).resolve(4, 1) == (64, 64, 64, 64)
+class TestLoopConfig:
+    @pytest.mark.parametrize(
+        "sizes, schedule, message",
+        [
+            ((), MixtureSchedule.full_synthetic(1), "at least one generation"),
+            ((64, 0, 64), MixtureSchedule.full_synthetic(3), "every sample count must be >= 1"),
+            ((64, 64, 64, 64), MixtureSchedule.full_synthetic(2), "rows up to max_generation - 1"),
+        ],
+        ids=["empty", "zero_count", "short_schedule"],
+    )
+    def test_refuses(self, sizes, schedule, message):
+        with pytest.raises(ValueError, match=message):
+            LoopConfig(generator=KDE, schedule=schedule, p0=GAUSS, sizes=sizes)
 
-    def test_explicit_and_mismatch(self):
-        assert ExplicitSizes((1, 2, 3)).resolve(3, 1) == (1, 2, 3)
-        with pytest.raises(ValueError):
-            ExplicitSizes((1, 2)).resolve(3, 1)
+    def test_max_generation_is_the_size_count(self):
+        cfg = LoopConfig(generator=KDE, schedule=MixtureSchedule.full_synthetic(2), p0=GAUSS,
+                         sizes=(256, 512, 512))
+        assert cfg.max_generation == 3
 
-    def test_quartic_targets_final_generation(self):
-        sizes = QuarticSizes(eps=1.0).resolve(5, 1)
-        assert sizes == (256,) * 5  # (4 * sqrt(1) / 1) ** 4
+    def test_kde_generator_refuses_too_few_nodes(self):
+        with pytest.raises(ValueError, match="eval_nodes must be >= 1024"):
+            KdeGenerator(kernel=KernelSpec.gaussian(), eval_nodes=1023)
+        assert KdeGenerator(kernel=KernelSpec.gaussian(), eval_nodes=1024).eval_nodes == 1024
 
-    def test_balanced_front_loaded(self):
-        sizes = BalancedSizes(eps=1.0).resolve(3, 1)
-        assert len(sizes) == 3
-        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    def test_each_generation_trains_on_its_own_size(self):
+        # a first generation on fewer points than the later ones, with no size rule
+        cfg = LoopConfig(generator=KDE, schedule=MixtureSchedule.balanced(3), p0=GAUSS,
+                         sizes=(256, 512, 512, 512), base_seed=17)
+        trace = run_loop(cfg, 0)
+        assert [rec.n_total for rec in trace.records] == [256, 512, 512, 512]
 
 
 class TestSingleGeneration:
@@ -167,7 +174,7 @@ def count_kde_pdf(monkeypatch):
 
 def fresh_measurement(self, cfg, seeds):
     """``KdeGenerator.measurement`` with every pdf evaluated afresh on the grid."""
-    p0, box, nodes = cfg.p0, cfg.p0.support_hint, cfg.eval_nodes
+    p0, box, nodes = cfg.p0, cfg.p0.support_hint, self.eval_nodes
 
     def measure(g, model, weights, models):
         tv0 = tv_quadrature(model.pdf, p0.pdf, box, nodes=nodes)
@@ -282,8 +289,7 @@ class TestSampleBudgets:
             generator=KDE,
             schedule=MixtureSchedule.full_synthetic(I),
             p0=GAUSS,
-            sample_sizes=ConstantSizes(64),
-            max_generation=I,
+            sizes=(64,) * I,
             replicates=4,
             base_seed=500,
         )
@@ -291,8 +297,7 @@ class TestSampleBudgets:
             generator=KDE,
             schedule=MixtureSchedule.full_synthetic(I),
             p0=GAUSS,
-            sample_sizes=QuarticSizes(eps=1.0),
-            max_generation=I,
+            sizes=(bounds.required_samples_quartic(I - 1, 1, 1.0),) * I,
             replicates=4,
             base_seed=500,
         )
@@ -310,14 +315,12 @@ class TestFixedRatioSweep:
         for lam in (0.25, 1.0, 4.0, 16.0):
             m = int(round(lam * n_real))
             cfg = LoopConfig(
-                generator=KDE,
+                generator=KdeGenerator(kernel=KernelSpec.gaussian(), eval_nodes=2048),
                 schedule=MixtureSchedule.fixed_ratio(n_real, m, 5),
                 p0=GAUSS,
-                sample_sizes=ConstantSizes(n_real + m),
-                max_generation=5,
+                sizes=(n_real + m,) * 5,
                 replicates=6,
                 base_seed=3000,
-                eval_nodes=2048,
             )
             _, summary = run_replicates(cfg)
             finals.append(summary.tv_median[-1])
@@ -328,16 +331,14 @@ class TestFixedRatioSweep:
 
 class TestDiffusionLoop:
     def test_short_diffusion_loop_records(self):
-        gen = DiffusionGenerator(cfg=DiffusionConfig(reverse_steps=60))
+        gen = DiffusionGenerator(cfg=DiffusionConfig(reverse_steps=60), eval_samples=4000)
         cfg = LoopConfig(
             generator=gen,
             schedule=MixtureSchedule.full_synthetic(2),
             p0=GAUSS,
-            sample_sizes=ConstantSizes(300),
-            max_generation=2,
+            sizes=(300, 300),
             replicates=1,
             base_seed=11,
-            eval_samples=4000,
         )
         trace = run_loop(cfg, 0)
         assert len(trace.records) == 2
@@ -349,14 +350,12 @@ class TestDiffusionLoop:
 
     def test_exact_score_matches_dense_loop(self, monkeypatch):
         cfg = LoopConfig(
-            generator=DiffusionGenerator(),
+            generator=DiffusionGenerator(eval_samples=500),
             schedule=MixtureSchedule.balanced(3),
             p0=GAUSS,
-            sample_sizes=ConstantSizes(128),
-            max_generation=3,
+            sizes=(128, 128, 128),
             replicates=1,
             base_seed=29,
-            eval_samples=500,
         )
         fast = run_loop(cfg, 0)
 
@@ -386,15 +385,15 @@ class TestDiffusionLoop:
             assert f.kl_prior == pytest.approx(d.kl_prior, rel=1e-9, abs=0)
 
     def test_training_failure_names_generation(self):
-        gen = DiffusionGenerator(cfg=DiffusionConfig(reverse_steps=60), lr=1e18)
+        gen = DiffusionGenerator(
+            cfg=DiffusionConfig(reverse_steps=60), lr=1e18, eval_samples=2000
+        )
         cfg = LoopConfig(
             generator=gen,
             schedule=MixtureSchedule.full_synthetic(1),
             p0=GAUSS,
-            sample_sizes=ConstantSizes(200),
-            max_generation=1,
+            sizes=(200,),
             base_seed=1,
-            eval_samples=2000,
         )
         with pytest.raises(LoopError, match="generation 1"):
             run_loop(cfg, 0)
@@ -402,13 +401,13 @@ class TestDiffusionLoop:
 
 def diffusion_config(schedule, n=64, generations=3, seed=31, eval_samples=300, steps=60):
     return LoopConfig(
-        generator=DiffusionGenerator(cfg=DiffusionConfig(reverse_steps=steps)),
+        generator=DiffusionGenerator(
+            cfg=DiffusionConfig(reverse_steps=steps), eval_samples=eval_samples
+        ),
         schedule=schedule,
         p0=GAUSS,
-        sample_sizes=ConstantSizes(n),
-        max_generation=generations,
+        sizes=(n,) * generations,
         base_seed=seed,
-        eval_samples=eval_samples,
     )
 
 
