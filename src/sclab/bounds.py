@@ -42,12 +42,6 @@ class CoefficientTable:
             raise ValueError("coefficients must be finite and nonnegative")
 
 
-def _beta(schedule: MixtureSchedule, row: int, model: int) -> float:
-    """Weight the generation-``row`` mixture puts on model ``model`` (1-based)."""
-    _, betas = schedule.weights_at(row)
-    return betas[model - 1]
-
-
 def coefficients(schedule: MixtureSchedule, i: int) -> CoefficientTable:
     """Backward recursion: A_i = 1, A_t = sum_{j=t+1}^{i} beta_j^{t+1} A_j.
 
@@ -58,10 +52,11 @@ def coefficients(schedule: MixtureSchedule, i: int) -> CoefficientTable:
         raise ValueError("generation must be >= 0")
     if i > 0 and i > schedule.max_generation:
         raise ValueError(f"schedule only defines rows up to {schedule.max_generation}")
+    betas = [schedule.weights_at(j)[1] for j in range(1, i + 1)]  # betas[j - 1]: row j
     a = np.zeros(i + 1)
     a[i] = 1.0
     for t in range(i - 1, -1, -1):
-        a[t] = sum(_beta(schedule, j, t + 1) * a[j] for j in range(t + 1, i + 1))
+        a[t] = sum(betas[j - 1][t] * a[j] for j in range(t + 1, i + 1))
     return CoefficientTable(generation=i, values=tuple(float(v) for v in a))
 
 
@@ -154,8 +149,9 @@ class BoundInputs:
         return 0.0 if self.kl_terms is None else self.kl_terms[k]
 
 
-def _weighted_sum(schedule: MixtureSchedule, inputs: BoundInputs, term) -> float:
-    """A-weighted sum of per-generation terms.
+def _weighted_sum(schedule: MixtureSchedule, inputs: BoundInputs, term, values=None) -> float:
+    """A-weighted sum of per-generation terms, over ``values`` when the caller
+    holds the coefficient table already.
 
     The fully synthetic cycle follows its dedicated one-term-per-generation
     form, summing generations 1..i (all weights 1) rather than 0..i.
@@ -163,8 +159,9 @@ def _weighted_sum(schedule: MixtureSchedule, inputs: BoundInputs, term) -> float
     i = inputs.generation
     if schedule.kind == "full_synthetic" and i >= 1:
         return math.fsum(term(k) for k in range(1, i + 1))
-    table = coefficients(schedule, i)
-    return math.fsum(table.values[k] * term(k) for k in range(i + 1))
+    if values is None:
+        values = coefficients(schedule, i).values
+    return math.fsum(values[k] * term(k) for k in range(i + 1))
 
 
 def _terms(family: str, inputs: BoundInputs):
@@ -350,9 +347,9 @@ def bound_table_rows(
     ``total_bound`` is the family's ``bound_<family>`` value.
     """
     term = _terms(family, inputs)
-    total = _weighted_sum(schedule, inputs, term)
     i = inputs.generation
     table = coefficients(schedule, i)
+    total = _weighted_sum(schedule, inputs, term, table.values)
     return [
         {
             "schedule": schedule.kind,

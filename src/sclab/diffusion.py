@@ -16,7 +16,6 @@ taking CPU from the single-threaded reverse sampler that follows training.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -368,12 +367,6 @@ def gauss_score_model(mu0: float, sigma0: float, dim: int = 1) -> _AnalyticGauss
     return _AnalyticGaussScore(mu0, sigma0, dim)
 
 
-def _reverse_grid(cfg: DiffusionConfig) -> tuple[np.ndarray, float]:
-    """The reverse times, from the horizon down to t_min, and the step length."""
-    ts = np.linspace(cfg.horizon, cfg.t_min, cfg.reverse_steps + 1)
-    return ts, (cfg.horizon - cfg.t_min) / cfg.reverse_steps
-
-
 def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list[SampleSet]:
     """One lockstep reverse pass of ``score`` over every ``(n, seed)`` request.
 
@@ -389,22 +382,15 @@ def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list[SampleSet]:
     a noise block's normals in one call, which fills them in the order its
     per-step calls drew them, and the block is scaled by sqrt(dt) once. Each
     step then applies x + (0.5 x + s) dt + sqrt(dt) xi in place, in that
-    order, so every draw is bit-identical to the per-step form. A non-finite
-    state stays non-finite under that update, so the state is checked once
-    per noise block. A block runs under ``np.errstate(all="raise")``; one
-    that ends non-finite or raises, from a floating-point error or from its
-    score, is replayed from its start state with the same tables and noise
-    under the caller's error settings, checked after every step as the
-    per-step form was. On the four passes of
-    a seed-1 benchmark unit (m = 256, 1000 to 2320 chains) the passes took
-    0.85 of the time of a per-step draw, update and check (median ratio of
-    40 interleaved runs).
+    order, so every draw is bit-identical to the per-step form, and the state
+    is checked after every step, before the next score call.
 
     Returns one ``SampleSet`` per request, or raises the non-finite-state
     ``RuntimeError`` at the first step where any chain goes non-finite. Any
     exception the score raises propagates.
     """
-    ts, dt = _reverse_grid(cfg)
+    ts = np.linspace(cfg.horizon, cfg.t_min, cfg.reverse_steps + 1)
+    dt = (cfg.horizon - cfg.t_min) / cfg.reverse_steps
     rngs = [np.random.default_rng(seed) for _, seed in requests]
     x = np.concatenate(
         [rng.standard_normal((n, score.dim)) for rng, (n, _) in zip(rngs, requests)]
@@ -417,28 +403,7 @@ def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list[SampleSet]:
     block = max(1, _TABLE_CELLS // (score.width + 1)) if tabled else cfg.reverse_steps
     rows = max(1, min(block, _NOISE_CELLS // x.size))
     noise = np.empty((rows,) + x.shape)
-    start, drift = np.empty_like(x), np.empty_like(x)
-
-    def advance(tables, k0, j0, xi, checked):
-        # the noise block's steps from step j0; checked, as the per-step form ran them
-        for k in range(j0, j0 + len(xi)):
-            if tabled:
-                s = score.lookup_1d(tables, k - k0, x[:, 0])[:, None]
-            else:
-                s = np.concatenate(
-                    [score.evaluate(x[a:b], ts[k], cfg.horizon) for _, a, b in live]
-                )
-            with np.errstate(over="ignore", invalid="ignore") if checked else nullcontext():
-                np.multiply(x, 0.5, out=drift)
-                np.add(drift, s, out=drift)
-                np.multiply(drift, dt, out=drift)
-                np.add(x, drift, out=x)
-                np.add(x, xi[k - j0], out=x)
-            if checked and not np.isfinite(x).all():
-                raise RuntimeError(
-                    f"non-finite state at reverse step {k + 1} (t = {ts[k + 1]:.6g})"
-                )
-
+    drift = np.empty_like(x)
     for k0 in range(0, cfg.reverse_steps, block):
         k1 = min(k0 + block, cfg.reverse_steps)
         tables = score.tables_1d(ts[k0:k1], cfg.horizon) if tabled else None
@@ -447,16 +412,23 @@ def _reverse_pass(score, cfg: DiffusionConfig, requests) -> list[SampleSet]:
             for rng, a, b in live:
                 xi[:, a:b] = rng.standard_normal(xi[:, a:b].shape)
             xi *= math.sqrt(dt)
-            np.copyto(start, x)
-            try:
-                with np.errstate(all="raise"):
-                    advance(tables, k0, j0, xi, checked=False)
-                clean = np.isfinite(x).all()
-            except Exception:
-                clean = False
-            if not clean:
-                np.copyto(x, start)
-                advance(tables, k0, j0, xi, checked=True)
+            for k in range(j0, j0 + len(xi)):
+                if tabled:
+                    s = score.lookup_1d(tables, k - k0, x[:, 0])[:, None]
+                else:
+                    s = np.concatenate(
+                        [score.evaluate(x[a:b], ts[k], cfg.horizon) for _, a, b in live]
+                    )
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.multiply(x, 0.5, out=drift)
+                    np.add(drift, s, out=drift)
+                    np.multiply(drift, dt, out=drift)
+                    np.add(x, drift, out=x)
+                    np.add(x, xi[k - j0], out=x)
+                if not np.isfinite(x).all():
+                    raise RuntimeError(
+                        f"non-finite state at reverse step {k + 1} (t = {ts[k + 1]:.6g})"
+                    )
     return [
         SampleSet(x[a:b].copy(), seed)
         for (_, seed), a, b in zip(requests, edges[:-1], edges[1:])

@@ -155,11 +155,10 @@ def sample_mixture(
     probs = probs / probs.sum()  # remove residual 1e-13-level round-off
     labels = rng.choice(len(probs), size=n, p=probs)
     counts = np.bincount(labels, minlength=len(probs))
-    pieces: list[tuple[np.ndarray, np.ndarray]] = []
     dim = real_density.dim
+    points = np.empty((n, dim))
     for label in range(len(probs)):
         c = int(counts[label])
-        idx = np.nonzero(labels == label)[0]
         if label == 0:
             drawn = real_density.draw(c, rng)
         else:
@@ -178,10 +177,7 @@ def sample_mixture(
             raise ValueError(
                 f"component {label} returned shape {drawn.shape}, expected ({c}, {dim})"
             )
-        pieces.append((idx, drawn))
-    points = np.empty((n, dim))
-    for idx, drawn in pieces:
-        points[idx] = drawn
+        points[labels == label] = drawn
     out = SampleSet(points, seed)
     if return_counts:
         return out, counts

@@ -68,6 +68,37 @@ class TestCoefficients:
             CoefficientTable(generation=1, values=(0.5, 0.9))
 
 
+def per_entry_recursion(schedule: MixtureSchedule, i: int) -> tuple[float, ...]:
+    """A_t = sum_{j=t+1}^{i} beta_j^{t+1} A_j written out entry by entry, reading
+    the row of every weight afresh."""
+    a = np.zeros(i + 1)
+    a[i] = 1.0
+    for t in range(i - 1, -1, -1):
+        a[t] = sum(schedule.weights_at(j)[1][t] * a[j] for j in range(t + 1, i + 1))
+    return tuple(float(v) for v in a)
+
+
+class TestPerEntryRecursion:
+    """Bit-equality with the written-out recursion, beyond the brute-force
+    oracle's i <= 12."""
+
+    def test_random_general_schedule(self):
+        rng = np.random.default_rng(40)
+        rows = []
+        for j in range(1, 41):
+            w = rng.random(j + 1)
+            w /= w.sum()
+            rows.append((w[0], w[1:]))
+        sched = MixtureSchedule.general(rows)
+        got = coefficients(sched, 40).values
+        assert np.array(got).tobytes() == np.array(per_entry_recursion(sched, 40)).tobytes()
+
+    def test_balanced_200(self):
+        sched = MixtureSchedule.balanced(200)
+        got = coefficients(sched, 200).values
+        assert np.array(got).tobytes() == np.array(per_entry_recursion(sched, 200)).tobytes()
+
+
 class TestBruteForceOracle:
     @pytest.mark.parametrize(
         "schedule,i",

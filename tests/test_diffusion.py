@@ -512,8 +512,9 @@ class TestReverseSample:
     @pytest.mark.parametrize("scale", [1e6, 1e20])
     @pytest.mark.parametrize("noise_cells", [None, 4 * 7, 5], ids=["default", "rows4", "below_n"])
     def test_blow_up_inside_default_block_names_oracle_step(self, monkeypatch, scale, noise_cells):
-        # at m = 256 the tables come in the default 63-step blocks; a noise
-        # cap of 28 cells checks 7 chains every 4 steps, one below 7 every step
+        # at m = 256 the tables come in the default 63-step blocks; under a
+        # noise cap of 28 cells 7 chains draw their noise 4 steps at a time,
+        # under one below 7 a step at a time
         net = init_scorenet(256, 1, 8, 4)
         net.out_weights[...] = scale
         if noise_cells is not None:
@@ -527,14 +528,15 @@ class TestReverseSample:
             assert isinstance(step, int)
             with pytest.raises(RuntimeError, match=rf"non-finite state at reverse step {step} "):
                 reverse_sample(net, cfg, 7, 3)
+        # a blow-up strictly inside a noise block is named at its own step
         assert rows == 1 or inside_a_block(step, rows, block, cfg.reverse_steps)
 
     @pytest.mark.parametrize("scale", [1e6, 1e20])
     def test_blow_up_warns_as_per_step_form(self, scale):
-        # huge finite states overflow the score before the state overflows; a
-        # block whose arithmetic raises under errstate(all="raise") is replayed
-        # under the caller's error settings, so the same warnings come out,
-        # and none from scoring non-finite states
+        # huge finite states overflow the score before the state overflows;
+        # the score runs under the caller's error settings and the state is
+        # checked after every step, so the same warnings come out, and none
+        # from scoring non-finite states
         net = init_scorenet(256, 1, 8, 4)
         net.out_weights[...] = scale
         cfg = DiffusionConfig(reverse_steps=100)
@@ -624,8 +626,17 @@ def one_unit_net(scale: float) -> ScoreNet:
 
 class TestReverseSampleMany:
     @pytest.mark.parametrize("kind", ["plain", "flat"])
-    def test_one_pass_matches_lone_calls(self, trained_nets, monkeypatch, kind):
+    # 8 rows of MANY's chains divide neither the 63-step block of m = 256 nor
+    # the 81-, 20- and 101-step table blocks of these nets
+    @pytest.mark.parametrize(
+        "noise_cells",
+        [None, 1, 8 * sum(n for n, _ in MANY)],
+        ids=["default", "rows1", "rows8"],
+    )
+    def test_one_pass_matches_lone_calls(self, trained_nets, monkeypatch, kind, noise_cells):
         net = trained_nets[kind]
+        if noise_cells is not None:
+            monkeypatch.setattr(diffusion, "_NOISE_CELLS", noise_cells)
         rows = count_tables(monkeypatch)
         cfg = DiffusionConfig(reverse_steps=101)
         got = reverse_sample_many(net, cfg, MANY)
@@ -673,8 +684,8 @@ class TestReverseSampleMany:
     @pytest.mark.parametrize("noise_cells", [None, 7 * 30, 1], ids=["default", "rows7", "below_n"])
     def test_blow_up_inside_a_63_step_block(self, monkeypatch, scale, noise_cells):
         # the one-unit net's tables in 63-step blocks, as at m = 256; the 30
-        # chains are checked every 63, every 7 or (a cap below a request's 2
-        # chains) every step
+        # chains draw their noise 63, 7 or (a cap below a request's 2 chains)
+        # 1 step at a time
         net = one_unit_net(scale)
         monkeypatch.setattr(diffusion, "_TABLE_CELLS", 63 * (net.width + 1))
         if noise_cells is not None:
@@ -691,6 +702,7 @@ class TestReverseSampleMany:
         steps = {want for want in oracle if isinstance(want, int)}
         assert set(errors) == steps and len(steps) >= 2 and survivors >= 3
         assert str(info.value) == errors[min(steps)]
+        # a blow-up strictly inside a noise block is named at its own step
         assert rows == 1 or inside_a_block(min(steps), rows, 63, cfg.reverse_steps)
 
     @pytest.mark.parametrize("scale", [1e6, 1e20])
@@ -771,9 +783,9 @@ class TestEvaluatedPass:
         assert str(info.value) == errors[min(steps)]
 
     def test_score_refusing_non_finite_points_gets_the_step_error(self):
-        # a score that refuses non-finite points fails the block's unchecked
-        # run; the replay, checked after every step, names the blow-up before
-        # the score is asked about a non-finite point, as the per-step form did
+        # the state is checked after every step, so the blow-up is named
+        # before the score is asked about a non-finite point, as the per-step
+        # form did
         net = one_unit_net_2d(1e20)
 
         class Guarded:
